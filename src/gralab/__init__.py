@@ -63,7 +63,6 @@ from .beables import (
     beables_region2,
     beam_intensity_curves,
     beam_magnitudes_region2,
-    classical_wave_residual,
     fitted_frequency,
     frame_consistency_region1,
     frame_consistency_region2,

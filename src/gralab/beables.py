@@ -678,17 +678,6 @@ def wave_equation_residual(
     return float(math.hypot(abs(res_a), abs(res_b)) / scale)
 
 
-def classical_wave_residual(q0: complex, kappa: float, t: float, c: float = 1.0) -> float:
-    """Residual of the free mode oscillation q*(t) = q*(0) e^(i kappa c t).
-
-    Without the quantum potential the mode equation is a bare oscillator;
-    its exponential solution satisfies it to rounding.
-    """
-    q_star = q0 * np.exp(1j * kappa * c * t)
-    d2 = -((kappa * c) ** 2) * q_star
-    return float(abs(d2 / c**2 + kappa**2 * q_star))
-
-
 def total_energy(
     pair: ModePair,
     t: float = 0.0,

@@ -61,11 +61,12 @@ class CascadeConfig:
     def __post_init__(self) -> None:
         if self.gate is None:
             object.__setattr__(self, "gate", 2.0 * self.lifetime)
-        if self.decay_rate <= 0.0:
-            raise ConfigError("decay rate must be positive")
-        if self.lifetime <= 0.0 or self.gate <= 0.0:
-            raise ConfigError("lifetime and gate width must be positive")
-        if self.correlation_factor < 1.0:
+        # Written so that NaN fails every comparison and is rejected.
+        if not 0.0 < self.decay_rate < math.inf:
+            raise ConfigError("decay rate must be positive and finite")
+        if not (0.0 < self.lifetime < math.inf and 0.0 < self.gate < math.inf):
+            raise ConfigError("lifetime and gate width must be positive and finite")
+        if not self.correlation_factor >= 1.0:
             raise ConfigError("correlation factor must be at least 1")
         if f_omega(self) > 1.0 + 1e-12:
             raise ConfigError("arrival probability a (1 - e^(-w/tau)) exceeds 1")
@@ -80,6 +81,8 @@ class CascadeConfig:
         if self.target_gates is not None and self.target_gates <= 0:
             raise ConfigError("target gate count must be positive")
         if self.run_time is not None:
+            if not self.run_time < math.inf:
+                raise ConfigError("run time must be finite")
             if self.decay_rate * self.epsilon_1 * self.run_time < 1.0:
                 raise ConfigError("run time too short for even one expected gate")
         if self.rng_seed < 0:
@@ -222,16 +225,15 @@ def simulate(cfg: CascadeConfig) -> CountRecord:
     )
 
 
-def measured_alpha(rec: CountRecord, rate_normalization: float = 1.0) -> float:
+def measured_alpha(rec: CountRecord) -> float:
     """Coincidence ratio estimate n1 nc / (nt nr) from raw counts.
 
-    The gate and accidental time factors cancel in the count ratio, so the
-    normalization defaults to one; a different value simply scales the
-    result.
+    The gate and accidental time factors cancel in the count ratio, so no
+    rate normalization enters.
     """
     if rec.nt_counts == 0 or rec.nr_counts == 0:
         raise InsufficientCounts("need at least one count in each arm")
-    return rate_normalization * rec.n1_counts * rec.nc_counts / (rec.nt_counts * rec.nr_counts)
+    return rec.n1_counts * rec.nc_counts / (rec.nt_counts * rec.nr_counts)
 
 
 def alpha_stderr(rec: CountRecord) -> float:

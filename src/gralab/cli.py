@@ -20,7 +20,6 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from . import beables, cascade, classical, fock, photodetect, svgplot
@@ -28,11 +27,14 @@ from . import beables, cascade, classical, fock, photodetect, svgplot
 _DEFAULT_SWEEP = (0.01, 0.05, 0.1, 0.3, 0.9, 3.0)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+def _int_at_least(low: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer of at least {low}")
+        return value
+
+    return integer
 
 
 def _state_spec(text: str):
@@ -100,7 +102,6 @@ def _write_manifest(
         "engine_versions": {
             "gralab": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
         "outputs": [p.name for p in outputs],
@@ -591,12 +592,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("states", type=_state_spec, nargs="+", metavar="KIND:VALUE")
     p.add_argument("--t2", type=float, default=0.5, help="splitter transmittance t^2")
     p.add_argument("--oracle", action="store_true", help="cross-check against the matrix oracle")
-    p.add_argument("--n-max", type=_positive_int, default=None, help="oracle cutoff override")
+    p.add_argument("--n-max", type=_int_at_least(1), default=None, help="oracle cutoff override")
     p.set_defaults(func=cmd_g2)
 
     p = sub.add_parser("classical", help="gate-averaged semiclassical intensity model")
     p.add_argument("--law", choices=("constant", "uniform", "exponential", "two-point"), default="uniform")
-    p.add_argument("--samples", type=_positive_int, default=10000)
+    p.add_argument("--samples", type=_int_at_least(1), default=10000)
     p.add_argument("--scale", type=float, default=1.0, help="mean intensity scale")
     p.add_argument("--gate", type=float, default=1.0, help="gate duration")
     p.add_argument("--eff-t", type=float, default=0.1, help="transmitted detector coefficient")
@@ -606,7 +607,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cascade", help="gated-cascade Monte Carlo versus the analytic ratio")
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--sweep", action="store_true", help="run the full Nw sweep")
-    p.add_argument("--gates", type=_positive_int, default=100000, help="gates per point")
+    p.add_argument("--gates", type=_int_at_least(1), default=100000, help="gates per point")
     p.add_argument("--n-omega", type=float, default=None, help="single-point Nw")
     p.add_argument("--f-target", type=float, default=None, help="paired-photon arrival probability")
     p.add_argument(
@@ -629,8 +630,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k0", type=float, default=1.0, help="beam wavenumber")
     p.add_argument("--volume", type=float, default=1.0)
     p.add_argument("--periods", type=float, default=1.0, help="trajectory length in cycles")
-    p.add_argument("--samples", type=_positive_int, default=257, help="spatial samples")
-    p.add_argument("--vacuum", type=int, default=0, help="number of background modes to sample")
+    p.add_argument("--samples", type=_int_at_least(1), default=257, help="spatial samples")
+    p.add_argument("--vacuum", type=_int_at_least(0), default=0, help="number of background modes to sample")
     p.add_argument("--sweep", action="store_true", help="region 2: phase sweep and visibility")
     p.add_argument("--check", action="store_true", help="run consistency checks")
     p.set_defaults(func=cmd_beables)
@@ -640,8 +641,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", type=float, default=0.0, help="interferometer phase")
     p.add_argument("--time", type=float, default=20.0, help="exposure time")
     p.add_argument("--k-max", type=float, default=3.0, help="spectrum wavenumber range")
-    p.add_argument("--samples", type=_positive_int, default=400)
-    p.add_argument("--n-max", type=_positive_int, default=8, help="selection-scan cutoff")
+    p.add_argument("--samples", type=_int_at_least(1), default=400)
+    p.add_argument("--n-max", type=_int_at_least(1), default=8, help="selection-scan cutoff")
     p.set_defaults(func=cmd_photodetect)
 
     return parser

@@ -5,7 +5,7 @@ a lossless beam splitter and the two output arms are read out in coincidence.
 Closed-form expectation values and the normalized coincidence ratio g2 are
 provided alongside a brute-force oracle that builds the two-arm output state
 by repeated application of creation-operator matrices and evaluates the same
-expectations with explicit matrix products.
+expectations from its amplitudes.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-from scipy import stats
 
 
 class DegenerateState(ValueError):
@@ -161,11 +160,6 @@ def creation_matrix(n_max: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, n_max + 1.0)), -1)
 
 
-def number_matrix(n_max: int) -> np.ndarray:
-    """Diagonal photon-number operator on the basis |0> .. |n_max>."""
-    return np.diag(np.arange(float(n_max + 1)))
-
-
 @dataclass
 class TwoModeFockSpace:
     """Pure two-arm state: amplitudes[i, j] multiplies |i>_t |j>_r."""
@@ -178,28 +172,18 @@ class TwoModeFockSpace:
         if self.amplitudes.shape != (self.n_max + 1, self.n_max + 1):
             raise ValueError("amplitude grid must be (n_max+1) x (n_max+1)")
 
-    @classmethod
-    def vacuum(cls, n_max: int) -> "TwoModeFockSpace":
-        amps = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-        amps[0, 0] = 1.0
-        return cls(n_max=n_max, amplitudes=amps)
-
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
 
-    def top_shell_weight(self) -> float:
-        """Probability weight on the highest retained total photon number."""
-        prob = np.abs(self.amplitudes) ** 2
-        i, j = np.indices(prob.shape)
-        return float(prob[i + j == self.n_max].sum())
-
     def arm_expectations(self) -> tuple[float, float, float]:
-        """(<n_t>, <n_r>, <n_t n_r>) by explicit matrix products."""
-        num = number_matrix(self.n_max)
+        """(<n_t>, <n_r>, <n_t n_r>); the diagonal number operators scale
+        rows and columns instead of entering as dense matrix products."""
+        n = np.arange(float(self.n_max + 1))
         psi = self.amplitudes
-        exp_t = np.vdot(psi, num @ psi).real
-        exp_r = np.vdot(psi, psi @ num).real
-        exp_c = np.vdot(psi, num @ psi @ num).real
+        n_t_psi = n[:, None] * psi
+        exp_t = np.vdot(psi, n_t_psi).real
+        exp_r = np.vdot(psi, psi * n).real
+        exp_c = np.vdot(psi, n_t_psi * n).real
         return exp_t, exp_r, exp_c
 
 
@@ -265,6 +249,32 @@ def default_cutoff(state: InputState, leakage_tol: float = 1e-12) -> int:
     raise TypeError(f"unsupported state type: {type(state).__name__}")
 
 
+def poisson_weights(mean: float, n_max: int) -> tuple[np.ndarray, float]:
+    """Poisson probabilities of 0 .. n_max and the weight beyond n_max.
+
+    The ratio recurrence runs both ways from the mode, set to one, and stops
+    at terms under 1e-300 of it; dividing by the sum then normalizes, so a
+    large mean overflows nothing.  The tail sums the terms beyond n_max
+    rather than taking 1 - cdf, so it stays accurate far below 1e-12.
+    """
+    if not 0.0 <= mean < math.inf:
+        raise ValueError("Poisson mean must be finite and nonnegative")
+    low = n = int(mean)
+    terms = [1.0]  # terms[k] belongs to low + k photons
+    while low > 0 and terms[-1] > 1e-300:
+        terms.append(terms[-1] * low / mean)
+        low -= 1
+    terms.reverse()
+    while n <= n_max or terms[-1] > 1e-300:
+        n += 1
+        terms.append(terms[-1] * mean / n)
+    cut = max(n_max + 1 - low, 0)
+    weights = np.zeros(n_max + 1)
+    weights[low:] = terms[:cut]
+    total = math.fsum(terms)
+    return weights / total, math.fsum(terms[cut:]) / total
+
+
 def oracle_output_state(
     state: InputState,
     bs: BeamSplitter,
@@ -280,17 +290,13 @@ def oracle_output_state(
     weight beyond the cutoff exceeds the leakage tolerance.
     """
     if isinstance(state, NumberState):
-        if n_max is None:
-            n_max = state.n
         return split_photons(state.n, bs, n_max)
 
     if n_max is None:
         n_max = default_cutoff(state, leakage_tol)
 
     if isinstance(state, CoherentState):
-        nbar = state.mean_photons
-        weights = stats.poisson.pmf(np.arange(n_max + 1), nbar)
-        tail = float(stats.poisson.sf(n_max, nbar))
+        weights, tail = poisson_weights(state.mean_photons, n_max)
     elif isinstance(state, ChaoticState):
         ns = np.arange(n_max + 1)
         weights = (1.0 - state.u) * state.u**ns

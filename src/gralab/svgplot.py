@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from xml.sax.saxutils import escape
+from html import escape
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf")
 
@@ -115,7 +115,7 @@ def line_plot(
     if title:
         parts.append(
             f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
-            f'font-size="14" fill="#222">{escape(title)}</text>'
+            f'font-size="14" fill="#222">{escape(title, quote=False)}</text>'
         )
 
     for tick in x_ticks:
@@ -141,13 +141,13 @@ def line_plot(
     if xlabel:
         parts.append(
             f'<text x="{ml + pw / 2:.1f}" y="{height - 10}" text-anchor="middle" '
-            f'fill="#222">{escape(xlabel)}</text>'
+            f'fill="#222">{escape(xlabel, quote=False)}</text>'
         )
     if ylabel:
         yc = mt + ph / 2
         parts.append(
             f'<text x="16" y="{yc:.1f}" text-anchor="middle" fill="#222" '
-            f'transform="rotate(-90 16 {yc:.1f})">{escape(ylabel)}</text>'
+            f'transform="rotate(-90 16 {yc:.1f})">{escape(ylabel, quote=False)}</text>'
         )
 
     for i, s in enumerate(series):
@@ -184,7 +184,7 @@ def line_plot(
             f'stroke="{color}" stroke-width="2"/>'
         )
         parts.append(
-            f'<text x="{ml + pw - 94}" y="{y}" fill="#222">{escape(label)}</text>'
+            f'<text x="{ml + pw - 94}" y="{y}" fill="#222">{escape(label, quote=False)}</text>'
         )
 
     parts.append("</svg>")

@@ -20,7 +20,6 @@ from gralab.beables import (
     beables_region2,
     beam_intensity_curves,
     beam_magnitudes_region2,
-    classical_wave_residual,
     fitted_frequency,
     frame_consistency_region1,
     frame_consistency_region2,
@@ -371,10 +370,6 @@ def test_wave_equation_residual_small():
         assert wave_equation_residual(RIGID, t) < 1e-4
     assert wave_equation_residual(TILTED, 2.7) < 1e-4
     assert wave_equation_residual(ModePair.single_frequency(0.8, phase_b=0.4), 3.0) < 1e-4
-
-
-def test_classical_wave_residual_zero():
-    assert classical_wave_residual(0.7 + 0.2j, 1.0, 5.0) < 1e-15
 
 
 def test_total_energy_value_and_conservation():

@@ -31,7 +31,7 @@ def test_g2_table_and_manifest(tmp_path):
     assert manifest["subcommand"] == "g2"
     assert manifest["rng_seed"] == 0
     assert "g2.csv" in manifest["outputs"]
-    assert set(manifest["engine_versions"]) == {"gralab", "numpy", "scipy", "python"}
+    assert set(manifest["engine_versions"]) == {"gralab", "numpy", "python"}
     assert manifest["duration_seconds"] >= 0.0
 
 
@@ -62,6 +62,12 @@ def test_bad_state_spec_exits_two(tmp_path):
 def test_nonpositive_gates_exit_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["--out-dir", str(tmp_path), "cascade", "--gates", "0"])
+    assert exc.value.code == 2
+
+
+def test_negative_vacuum_exits_two(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["--out-dir", str(tmp_path), "beables", "--vacuum", "-1"])
     assert exc.value.code == 2
 
 

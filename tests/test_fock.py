@@ -1,6 +1,7 @@
 """Splitter statistics: closed forms against the matrix oracle."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from gralab.fock import (
     g2,
     oracle_g2,
     oracle_output_state,
+    poisson_weights,
     split_photons,
 )
 
@@ -167,6 +169,62 @@ def test_oracle_cutoff_too_small():
         oracle_output_state(ChaoticState(0.7), BALANCED, n_max=10)
     with pytest.raises(TruncationError):
         oracle_output_state(CoherentState(2.0), BALANCED, n_max=6)
+
+
+def _exact_poisson(mean, n_max):
+    """Poisson weights of 0 .. n_max and the sum of the terms beyond n_max,
+    in 60-digit decimal arithmetic from the binary value of the mean."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        m = Decimal(mean)
+        term = (-m).exp()
+        weights = [term]
+        for n in range(1, n_max + 1):
+            term = term * m / n
+            weights.append(term)
+        tail, n = Decimal(0), n_max
+        while True:
+            n += 1
+            term = term * m / n
+            tail += term
+            if n > 2 * mean and term < tail * Decimal("1e-30"):
+                return weights, tail
+
+
+@pytest.mark.parametrize("alpha", [0.7, 2.0, 3.0, math.sqrt(50.0)])
+def test_poisson_weights_match_exact_reference(alpha):
+    state = CoherentState(alpha)
+    mean, n_max = state.mean_photons, default_cutoff(state)
+    weights, tail = poisson_weights(mean, n_max)
+    exact, exact_tail = _exact_poisson(mean, n_max)
+    assert len(weights) == n_max + 1
+    for w, ref in zip(weights, exact):
+        assert abs(Decimal(float(w)) - ref) <= Decimal("1e-12") * ref
+    assert abs(Decimal(tail) - exact_tail) <= Decimal("1e-12") * exact_tail
+    assert tail <= 1e-12
+
+
+def test_poisson_weights_large_mean_finite():
+    # e^-mean mean^n / n! taken directly overflows for n > 77 here.
+    state = CoherentState(100.0)
+    mean, n_max = state.mean_photons, default_cutoff(state)
+    weights, tail = poisson_weights(mean, n_max)
+    assert np.all(np.isfinite(weights))
+    assert np.abs(math.fsum(weights) - (1.0 - tail)) < 1e-12
+    exact, _ = _exact_poisson(mean, n_max)
+    for w, ref in zip(weights, exact):
+        if ref > Decimal("1e-250"):
+            assert abs(Decimal(float(w)) - ref) <= Decimal("1e-12") * ref
+
+
+def test_poisson_weights_edges():
+    weights, tail = poisson_weights(0.0, 3)
+    assert weights.tolist() == [1.0, 0.0, 0.0, 0.0] and tail == 0.0
+    weights, tail = poisson_weights(1.0e6, 5)
+    assert weights.tolist() == [0.0] * 6 and tail == 1.0
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            poisson_weights(bad, 5)
 
 
 def test_default_cutoff_meets_tolerance():
