@@ -64,8 +64,11 @@ class ModePair:
     pol_b: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.amp_a <= 0.0 or self.amp_b <= 0.0:
-            raise ValueError("mode amplitudes must be positive")
+        # Written so that NaN fails every comparison and is rejected.
+        if not (0.0 < self.amp_a < math.inf and 0.0 < self.amp_b < math.inf):
+            raise ValueError("mode amplitudes must be positive and finite")
+        if not (math.isfinite(self.phase_a) and math.isfinite(self.phase_b)):
+            raise ValueError("mode phases must be finite")
         self.k_a = np.array(_XHAT if self.k_a is None else self.k_a, dtype=float)
         self.k_b = np.array(_YHAT if self.k_b is None else self.k_b, dtype=float)
         self.pol_a = np.array(_ZHAT if self.pol_a is None else self.pol_a, dtype=float)
@@ -73,6 +76,8 @@ class ModePair:
         for name in ("k_a", "k_b", "pol_a", "pol_b"):
             if getattr(self, name).shape != (3,):
                 raise ValueError(f"{name} must be a 3-vector")
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         ka, kb = np.linalg.norm(self.k_a), np.linalg.norm(self.k_b)
         if abs(ka - kb) > 1e-12 * max(ka, kb, 1.0):
             raise ValueError("wave vectors must share one magnitude")

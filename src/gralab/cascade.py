@@ -4,9 +4,15 @@ A first-photon detection opens a counting gate of width w.  The paired
 second photon reaches the splitter with probability f(w) while unrelated
 cascades contribute Poisson accidentals at rate N, so the normalized
 coincidence ratio interpolates between 0 (isolated gates) and 1 (dense
-accidentals) along alpha(Nw) = (2 f Nw + (Nw)^2) / (f + Nw)^2.  The
-simulation counts gate-level detection indicators exactly as a counter
-rack would, with whole photons routed to one arm or the other.
+accidentals) along alpha(Nw) = (2 f Nw + (Nw)^2) / (f + Nw)^2 in the
+limit of vanishing arm efficiency.  The simulation counts gate-level
+detection indicators exactly as a counter rack would, with whole photons
+routed to one arm or the other.  Because the accidentals split at the
+splitter into independent per-arm Poisson streams, each gate costs a few
+uniforms: one routes the paired photon and one per arm decides whether
+any accidental was counted there.  The same independence gives the exact
+per-gate probabilities at finite efficiency (gate_probabilities) and the
+exact ratio (exact_alpha) that the Monte Carlo converges to.
 """
 
 from __future__ import annotations
@@ -140,23 +146,70 @@ class CountRecord:
             raise ValueError("coincidences cannot exceed either singles count")
 
 
+def _arm_probabilities(cfg: CascadeConfig) -> tuple[float, float]:
+    """Probabilities (t^2 eps_t, r^2 eps_r) that one photon is counted in each arm."""
+    return cfg.bs.t**2 * cfg.epsilon_t, cfg.bs.r**2 * cfg.epsilon_r
+
+
+def _accidental_probabilities(cfg: CascadeConfig) -> tuple[float, float]:
+    """Probabilities 1 - e^(-lambda c p) that at least one accidental is
+    counted in each arm; expm1 keeps a small lambda c p from rounding to 0."""
+    lam_c = cfg.decay_rate * cfg.gate * cfg.accidental_collection
+    return tuple(-math.expm1(-lam_c * p) for p in _arm_probabilities(cfg))
+
+
+def gate_probabilities(cfg: CascadeConfig) -> tuple[float, float, float]:
+    """Exact per-gate (P_t, P_r, P_c) at finite detection efficiency.
+
+    The paired photon (probability f) and the Poisson accidentals of mean
+    lambda c = N w c pass the splitter independently, and the accidentals
+    split into independent Poisson streams per arm, so the no-count
+    probabilities factor: q_t = (1 - f p_t) e^(-lambda c p_t), likewise
+    q_r, and q_0 = (1 - f (p_t + p_r)) e^(-lambda c (p_t + p_r)).  Then
+    P_t = 1 - q_t, P_r = 1 - q_r and P_c = 1 - q_t - q_r + q_0.  P_c is
+    evaluated in the equal form f p_t A_r + f p_r A_t + (1 - f (p_t + p_r))
+    A_t A_r with A = 1 - e^(-lambda c p), which does not cancel when the
+    efficiencies are small.
+    """
+    f = f_omega(cfg)
+    p_t, p_r = _arm_probabilities(cfg)
+    acc_t, acc_r = _accidental_probabilities(cfg)
+    big_t = acc_t + f * p_t * (1.0 - acc_t)
+    big_r = acc_r + f * p_r * (1.0 - acc_r)
+    big_c = f * p_t * acc_r + f * p_r * acc_t + (1.0 - f * (p_t + p_r)) * acc_t * acc_r
+    return big_t, big_r, big_c
+
+
+def exact_alpha(cfg: CascadeConfig) -> float:
+    """Exact finite-efficiency coincidence ratio P_c / (P_t P_r).
+
+    It tends to g2_analytic(N w c, f) as both arm efficiencies go to zero.
+    """
+    big_t, big_r, big_c = gate_probabilities(cfg)
+    if big_t == 0.0 or big_r == 0.0:
+        raise ConfigError("an arm that can never count leaves the ratio undefined")
+    return big_c / (big_t * big_r)
+
+
 def simulate(cfg: CascadeConfig) -> CountRecord:
     """Run the gated counting experiment and return the counter totals.
 
-    Per gate: the paired photon arrives with probability f(w) (drawn from
-    the exponential delay in 'physical' mode), accidental photons arrive
-    Poisson with mean N w and survive collection thinning, and each photon
-    at the splitter is routed whole to the transmitted arm (t^2 eps_t),
-    the reflected arm (r^2 eps_r), or lost.  Counters record per-gate
-    indicators.  Deterministic for a fixed configuration.
+    Per gate, one uniform u decides the paired photon: it arrived if
+    u < f, and it is counted in the transmitted arm if u < f p_t and in
+    the reflected arm if f p_t <= u < f (p_t + p_r), with p_t = t^2 eps_t
+    and p_r = r^2 eps_r.  In 'physical' mode the arrival comes instead
+    from the exponential delay (and, for a > 1, a promotion draw), and u
+    routes an arrived photon against p_t and p_t + p_r.  Accidental
+    photons, Poisson with mean N w thinned by accidental_collection, split
+    into independent per-arm Poisson streams, so one more uniform per arm
+    marks the gates where at least one was counted.  Counters record per-gate indicators, whose probabilities are
+    gate_probabilities(cfg).  Deterministic for a fixed configuration.
     """
     f = f_omega(cfg)
-    lam = cfg.decay_rate * cfg.gate
     p_short = 1.0 - math.exp(-cfg.gate / cfg.lifetime)
     a = cfg.correlation_factor
-    p_t_det = cfg.bs.t**2 * cfg.epsilon_t
-    p_r_det = cfg.bs.r**2 * cfg.epsilon_r
-    p_r_rem = p_r_det / (1.0 - p_t_det) if p_t_det < 1.0 else 0.0
+    p_t_det, p_r_det = _arm_probabilities(cfg)
+    acc_t, acc_r = _accidental_probabilities(cfg)
     wait_scale = 1.0 / (cfg.decay_rate * cfg.epsilon_1)
 
     root = np.random.SeedSequence(cfg.rng_seed)
@@ -182,31 +235,25 @@ def simulate(cfg: CascadeConfig) -> CountRecord:
             g = fit
             waits = waits[:g]
 
+        u = rng.random(g)
         if cfg.arrival_mode == "analytic":
-            arrived = rng.random(g) < f
+            arrived, scale = u < f, f
         else:
-            arrived = rng.exponential(cfg.lifetime, g) < cfg.gate
+            arrived, scale = rng.exponential(cfg.lifetime, g) < cfg.gate, 1.0
             if a > 1.0 and p_short < 1.0:
-                promote = rng.random(g) < (a - 1.0) * p_short / (1.0 - p_short)
-                arrived = arrived | (~arrived & promote)
+                arrived |= rng.random(g) < (a - 1.0) * p_short / (1.0 - p_short)
+        hit_t = arrived & (u < scale * p_t_det)
+        hit_r = (arrived & (u < scale * (p_t_det + p_r_det))) ^ hit_t
+        if acc_t > 0.0:
+            hit_t |= rng.random(g) < acc_t
+        if acc_r > 0.0:
+            hit_r |= rng.random(g) < acc_r
 
-        accidental = rng.poisson(lam, g)
-        if cfg.accidental_collection == 0.0:
-            accidental = np.zeros(g, dtype=np.int64)
-        elif cfg.accidental_collection < 1.0:
-            accidental = rng.binomial(accidental, cfg.accidental_collection)
-
-        at_splitter = arrived.astype(np.int64) + accidental
-        d_t = rng.binomial(at_splitter, p_t_det)
-        d_r = rng.binomial(at_splitter - d_t, p_r_rem)
-
-        hit_t = d_t >= 1
-        hit_r = d_r >= 1
         n1 += g
-        nt += int(hit_t.sum())
-        nr += int(hit_r.sum())
-        nc += int((hit_t & hit_r).sum())
-        arrivals += int(arrived.sum())
+        arrivals += int(np.count_nonzero(arrived))
+        nt += int(np.count_nonzero(hit_t))
+        nr += int(np.count_nonzero(hit_r))
+        nc += int(np.count_nonzero(hit_t & hit_r))
         elapsed += float(waits.sum()) + g * cfg.gate
 
         if remaining is not None:

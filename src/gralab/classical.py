@@ -9,6 +9,7 @@ on a real source therefore rule out this entire model family.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -40,14 +41,15 @@ class GateIntensityEnsemble:
         self.intensities = np.asarray(self.intensities, dtype=float)
         if self.intensities.ndim != 1 or self.intensities.size == 0:
             raise ValueError("intensities must be a nonempty 1-d sequence")
-        if np.any(self.intensities < 0.0):
-            raise ValueError("intensities must be nonnegative")
+        # Written so that NaN fails every comparison and is rejected.
+        if not np.all((0.0 <= self.intensities) & (self.intensities < np.inf)):
+            raise ValueError("intensities must be nonnegative and finite")
         if not np.any(self.intensities > 0.0):
             raise ZeroMeanIntensity("every gate in the ensemble is dark")
-        if self.gate_duration <= 0.0:
-            raise ValueError("gate duration must be positive")
-        if not (0.0 <= self.alpha_t and 0.0 <= self.alpha_r):
-            raise ValueError("detector coefficients must be nonnegative")
+        if not 0.0 < self.gate_duration < math.inf:
+            raise ValueError("gate duration must be positive and finite")
+        if not (0.0 <= self.alpha_t < math.inf and 0.0 <= self.alpha_r < math.inf):
+            raise ValueError("detector coefficients must be nonnegative and finite")
         probs = (*singles_probabilities(self), coincidence_probability(self))
         if max(probs) > 1.0:
             self.admissible = False

@@ -39,14 +39,14 @@ class DetectorAtomConfig:
     c: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.bohr_radius <= 0.0 or self.reduced_mass <= 0.0:
-            raise ValueError("atomic radius and reduced mass must be positive")
-        if self.charge <= 0.0:
-            raise ValueError("charge must be positive")
-        if self.binding_energy >= 0.0:
-            raise ValueError("the initial state must be bound (negative energy)")
-        if self.k0 <= 0.0 or self.volume <= 0.0:
-            raise ValueError("mode wavenumber and volume must be positive")
+        # Written so that NaN fails every comparison and is rejected.
+        for name in ("bohr_radius", "reduced_mass", "charge", "k0", "volume", "hbar", "c"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not -math.inf < self.binding_energy < 0.0:
+            raise ValueError("the initial state must be bound (negative, finite energy)")
+        if not math.isfinite(self.phi):
+            raise ValueError("interferometer phase must be finite")
 
     @classmethod
     def hydrogen(cls, k0: float = 1.0, phi: float = 0.0, volume: float = 1.0) -> "DetectorAtomConfig":

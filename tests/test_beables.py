@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from gralab.beables import (
     EmptyCurve,
@@ -81,6 +83,27 @@ def test_mode_pair_validation():
         ModePair(amp_a=1.0, amp_b=1.0, pol_a=np.array([0.0, 0.0, 2.0]))
     with pytest.raises(ValueError):
         ModePair(amp_a=1.0, amp_b=1.0, pol_a=np.array([1.0, 0.0, 0.0]))
+
+
+NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@given(name=st.sampled_from(["amp_a", "amp_b", "phase_a", "phase_b"]), value=NONFINITE)
+@example(name="amp_a", value=math.nan)
+@example(name="amp_a", value=math.inf)
+@example(name="phase_b", value=math.nan)
+def test_mode_pair_rejects_nonfinite_scalars(name, value):
+    with pytest.raises(ValueError):
+        ModePair(**{"amp_a": 1.0, "amp_b": 1.0, name: value})
+
+
+@given(name=st.sampled_from(["k_a", "k_b", "pol_a", "pol_b"]), index=st.integers(0, 2), value=NONFINITE)
+def test_mode_pair_rejects_nonfinite_vectors(name, index, value):
+    pair = ModePair(amp_a=1.0, amp_b=1.0)
+    vector = getattr(pair, name).copy()
+    vector[index] = value
+    with pytest.raises(ValueError):
+        ModePair(amp_a=1.0, amp_b=1.0, **{name: vector})
 
 
 def test_single_frequency_detection():

@@ -15,8 +15,10 @@ from gralab.cascade import (
     InsufficientCounts,
     alpha_stderr,
     correlation_for_f,
+    exact_alpha,
     f_omega,
     g2_analytic,
+    gate_probabilities,
     measured_alpha,
     simulate,
     sweep_curve,
@@ -239,3 +241,124 @@ def test_run_time_mode():
     # expected gate spacing 1 us, so thousands of gates fit
     assert rec.total_gates > 3000
     assert simulate(cfg) == rec
+
+
+# ------------------------------------------ exact finite-efficiency reference
+
+K_SIGMA = 5.0
+
+
+def _reference_counts(cfg: CascadeConfig, rng: np.random.Generator) -> tuple[int, int, int, int]:
+    """(nt, nr, nc, arrivals) from a per-photon sampler that never uses the
+    per-arm Poisson split: a Poisson count of accidentals, collection
+    thinning, then each photon routed whole to t, r or loss."""
+    g = cfg.target_gates
+    f = f_omega(cfg)
+    if cfg.arrival_mode == "analytic":
+        arrived = rng.random(g) < f
+    else:
+        p_short = 1.0 - math.exp(-cfg.gate / cfg.lifetime)
+        arrived = rng.exponential(cfg.lifetime, g) < cfg.gate
+        arrived |= rng.random(g) < (f - p_short) / (1.0 - p_short)
+    photons = arrived + rng.binomial(rng.poisson(cfg.decay_rate * cfg.gate, g), cfg.accidental_collection)
+    p_t, p_r = cfg.bs.t**2 * cfg.epsilon_t, cfg.bs.r**2 * cfg.epsilon_r
+    d_t = rng.binomial(photons, p_t)
+    d_r = rng.binomial(photons - d_t, p_r / (1.0 - p_t))
+    hit_t, hit_r = d_t > 0, d_r > 0
+    return int(hit_t.sum()), int(hit_r.sum()), int((hit_t & hit_r).sum()), int(arrived.sum())
+
+
+# (Nw, arrival mode, f, t^2, accidental collection); Nw = 0 switches collection off.
+REFERENCE_POINTS = [
+    (0.0, "analytic", 0.9, 0.5, 0.0),
+    (0.0, "physical", F_BASE, 0.8, 0.0),
+    (0.3, "analytic", F_BASE, 0.8, 1.0),
+    (0.3, "physical", 0.95, 0.5, 0.5),
+    (3.0, "analytic", 0.9, 0.8, 0.5),
+    (3.0, "physical", 0.9, 0.8, 1.0),
+]
+
+
+def _point_config(n_omega, mode, f, t2, collection, gates, seed, eps_t=0.3, eps_r=0.2):
+    return _config(
+        decay_rate=(n_omega or 1.0) / 9.4e-9,
+        correlation_factor=correlation_for_f(f) if f > F_BASE else 1.0,
+        epsilon_t=eps_t,
+        epsilon_r=eps_r,
+        bs=BeamSplitter.from_transmittance(t2),
+        accidental_collection=collection,
+        arrival_mode=mode,
+        target_gates=gates,
+        rng_seed=seed,
+    )
+
+
+@pytest.mark.parametrize("n_omega,mode,f,t2,collection", REFERENCE_POINTS)
+def test_simulate_matches_exact_probabilities_and_reference_sampler(n_omega, mode, f, t2, collection):
+    gates = 300_000
+    cfg = _point_config(n_omega, mode, f, t2, collection, gates, seed=17)
+    rec = simulate(cfg)
+    ref = _reference_counts(cfg, np.random.default_rng(23))
+    big_t, big_r, big_c = gate_probabilities(cfg)
+    observed = (rec.nt_counts, rec.nr_counts, rec.nc_counts, rec.trigger_arrivals)
+    for got, other, p in zip(observed, ref, (big_t, big_r, big_c, f_omega(cfg))):
+        sigma = math.sqrt(p * (1.0 - p) / gates)
+        assert abs(got / gates - p) <= K_SIGMA * sigma
+        assert abs(got - other) / gates <= K_SIGMA * math.sqrt(2.0) * sigma
+    if n_omega == 0.0:
+        assert rec.nc_counts == ref[2] == 0
+
+
+def test_gate_probabilities_equal_no_count_factorization():
+    # P_c evaluated without cancellation must equal 1 - q_t - q_r + q_0.
+    cfg = _point_config(3.0, "analytic", 0.9, 0.8, 0.5, 1, seed=0)
+    f, lam = 0.9, 3.0 * 0.5
+    p_t, p_r = 0.8 * 0.3, 0.2 * 0.2
+    q_t = (1.0 - f * p_t) * math.exp(-lam * p_t)
+    q_r = (1.0 - f * p_r) * math.exp(-lam * p_r)
+    q_0 = (1.0 - f * (p_t + p_r)) * math.exp(-lam * (p_t + p_r))
+    expected = (1.0 - q_t, 1.0 - q_r, 1.0 - q_t - q_r + q_0)
+    for got, want in zip(gate_probabilities(cfg), expected):
+        assert abs(got - want) < 1e-14
+    assert abs(exact_alpha(cfg) - expected[2] / (expected[0] * expected[1])) < 1e-12
+
+
+@pytest.mark.parametrize("n_omega", [0.1, 0.9, 3.0])
+def test_exact_alpha_converges_to_vanishing_efficiency_curve(n_omega):
+    a = correlation_for_f(0.9)
+
+    def gap(eps):
+        cfg = _config(decay_rate=n_omega / 9.4e-9, correlation_factor=a, epsilon_t=eps, epsilon_r=eps)
+        return abs(exact_alpha(cfg) / g2_analytic(n_omega, 0.9) - 1.0)
+
+    # The leading correction is linear in the efficiency; P_c does not
+    # cancel, so the linear law holds far below 1e-3 as well.
+    assert 9.0 < gap(1e-2) / gap(1e-3) < 11.0
+    assert 990.0 < gap(1e-3) / gap(1e-6) < 1010.0
+
+
+def test_exact_alpha_zero_without_accidentals_and_undefined_for_dark_arm():
+    assert exact_alpha(_config(accidental_collection=0.0)) == 0.0
+    with pytest.raises(ConfigError):
+        exact_alpha(_config(epsilon_r=0.0))
+
+
+@pytest.mark.parametrize("n_omega,mode", [(0.3, "analytic"), (3.0, "physical")])
+def test_alpha_stderr_calibrated_by_replication(n_omega, mode):
+    # R = 200 seeded runs.  The spread of measured_alpha must match the
+    # mean reported stderr within 15%, three times the 5% scatter of a
+    # sample SD of 200 draws.  The z-scores against exact_alpha must have
+    # mean within 0.25 of 0 (their own scatter is 0.07) and SD within 15%
+    # of 1.
+    runs = 200
+    alphas, errors = [], []
+    for seed in range(runs):
+        rec = simulate(_point_config(n_omega, mode, 0.9, 0.5, 1.0, 20_000, seed, eps_t=0.2, eps_r=0.2))
+        alphas.append(measured_alpha(rec))
+        errors.append(alpha_stderr(rec))
+    alphas, errors = np.array(alphas), np.array(errors)
+    exact = exact_alpha(_point_config(n_omega, mode, 0.9, 0.5, 1.0, 1, 0, eps_t=0.2, eps_r=0.2))
+    assert abs(np.std(alphas, ddof=1) / np.mean(errors) - 1.0) < 0.15
+    z = (alphas - exact) / errors
+    assert abs(np.mean(z)) < 0.25
+    assert abs(np.std(z, ddof=1) - 1.0) < 0.15

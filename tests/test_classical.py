@@ -1,9 +1,12 @@
 """Semiclassical intensity model: the coincidence ratio never dips below one."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from gralab.classical import (
     GateIntensityEnsemble,
@@ -97,3 +100,26 @@ def test_invalid_inputs():
         _ensemble([1.0], gate=0.0)
     with pytest.raises(ValueError):
         _ensemble([1.0], eff_t=-0.1)
+
+
+NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@given(
+    values=st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=16),
+    index=st.integers(0, 15),
+    value=NONFINITE,
+)
+@example(values=[1.0, 2.0], index=0, value=math.nan)
+@example(values=[1.0, 2.0], index=1, value=math.inf)
+def test_nonfinite_intensity_rejected(values, index, value):
+    values[index % len(values)] = value
+    with pytest.raises(ValueError):
+        _ensemble(values)
+
+
+@given(name=st.sampled_from(["gate", "eff_t", "eff_r"]), value=NONFINITE)
+@example(name="gate", value=math.nan)
+def test_nonfinite_gate_or_coefficient_rejected(name, value):
+    with pytest.raises(ValueError):
+        _ensemble([1.0, 2.0], **{name: value})

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from gralab.photodetect import (
     DetectorAtomConfig,
@@ -36,6 +38,22 @@ def test_config_validation():
         DetectorAtomConfig(1.0, 1.0, 1.0, 0.5)
     with pytest.raises(ValueError):
         DetectorAtomConfig(1.0, 1.0, 1.0, -0.5, k0=0.0)
+
+
+@given(
+    name=st.sampled_from(
+        ["bohr_radius", "reduced_mass", "charge", "binding_energy", "k0", "phi", "volume", "hbar", "c"]
+    ),
+    value=st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+@example(name="bohr_radius", value=math.nan)
+@example(name="k0", value=math.inf)
+@example(name="binding_energy", value=math.nan)
+def test_nonfinite_config_rejected(name, value):
+    kwargs = dict(bohr_radius=1.0, reduced_mass=1.0, charge=1.0, binding_energy=-0.5)
+    kwargs[name] = value
+    with pytest.raises(ValueError):
+        DetectorAtomConfig(**kwargs)
 
 
 def test_energy_mismatch_values():
