@@ -42,7 +42,14 @@ _YHAT = np.array([0.0, 1.0, 0.0])
 _ZHAT = np.array([0.0, 0.0, 1.0])
 
 
-@dataclass
+def _freeze(obj, **arrays) -> None:
+    """Set fields or derived rows of a frozen dataclass as read-only arrays."""
+    for name, value in arrays.items():
+        value.flags.writeable = False
+        object.__setattr__(obj, name, value)
+
+
+@dataclass(frozen=True)
 class ModePair:
     """Two excited traveling-wave coordinates with their geometry.
 
@@ -51,7 +58,8 @@ class ModePair:
     one magnitude (a single optical frequency feeds both beams) and each
     polarization must be a unit vector transverse to its wave vector.
     Defaults place beam a along x, beam b along y, both polarized along z,
-    with unit wavenumber.
+    with unit wavenumber.  The pair is frozen, its arrays read-only: the
+    beables read the two beams as rows derived here once.
     """
 
     amp_a: float
@@ -69,15 +77,14 @@ class ModePair:
             raise ValueError("mode amplitudes must be positive and finite")
         if not (math.isfinite(self.phase_a) and math.isfinite(self.phase_b)):
             raise ValueError("mode phases must be finite")
-        self.k_a = np.array(_XHAT if self.k_a is None else self.k_a, dtype=float)
-        self.k_b = np.array(_YHAT if self.k_b is None else self.k_b, dtype=float)
-        self.pol_a = np.array(_ZHAT if self.pol_a is None else self.pol_a, dtype=float)
-        self.pol_b = np.array(_ZHAT if self.pol_b is None else self.pol_b, dtype=float)
-        for name in ("k_a", "k_b", "pol_a", "pol_b"):
-            if getattr(self, name).shape != (3,):
+        for name, default in (("k_a", _XHAT), ("k_b", _YHAT), ("pol_a", _ZHAT), ("pol_b", _ZHAT)):
+            given = getattr(self, name)
+            value = np.array(default if given is None else given, dtype=float)
+            if value.shape != (3,):
                 raise ValueError(f"{name} must be a 3-vector")
-            if not np.all(np.isfinite(getattr(self, name))):
+            if not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} must be finite")
+            _freeze(self, **{name: value})
         ka, kb = np.linalg.norm(self.k_a), np.linalg.norm(self.k_b)
         if abs(ka - kb) > 1e-12 * max(ka, kb, 1.0):
             raise ValueError("wave vectors must share one magnitude")
@@ -88,6 +95,10 @@ class ModePair:
                 raise ValueError("polarizations must be unit vectors")
             if abs(float(np.dot(pol, k))) > 1e-9 * ka:
                 raise ValueError("polarizations must be transverse to their wave vectors")
+        k, pol = np.stack([self.k_a, self.k_b]), np.stack([self.pol_a, self.pol_b])
+        amp, phase = np.array([self.amp_a, self.amp_b]), np.array([self.phase_a, self.phase_b])
+        _freeze(self, _k=k, _pol=pol, _curl=np.cross(k, pol), _amp=amp, _phase=phase)
+        _freeze(self, _pol_a_cross=_cross_matrix(self.pol_a))
 
     @property
     def k0(self) -> float:
@@ -113,6 +124,17 @@ class ModePair:
         )
 
 
+def _cross_matrix(r) -> np.ndarray:
+    """Matrix M with v @ M = r x v for row vectors v."""
+    r0, r1, r2 = (float(value) for value in r)
+    return np.array([[0.0, r2, -r1], [-r2, 0.0, r0], [r1, -r0, 0.0]])
+
+
+def _weights(phi: float) -> tuple[float, float]:
+    """Recombined-beam weights (1 + cos phi, 1 - cos phi) of beams c and d."""
+    return 1.0 + math.cos(phi), 1.0 - math.cos(phi)
+
+
 def mode_frequencies(pair: ModePair, hbar: float = 1.0, c: float = 1.0) -> tuple[float, float]:
     """Nonclassical rotation frequencies hbar c^2 / (4 amp^2) per mode."""
     return (
@@ -129,8 +151,7 @@ def region2_frequencies(
     The c beam carries weight 1 + cos(phi) and the d beam 1 - cos(phi), so
     an extinguished beam also stops rotating.
     """
-    mc = 1.0 + math.cos(phi)
-    md = 1.0 - math.cos(phi)
+    mc, md = _weights(phi)
     return (
         hbar * c**2 * mc / (4.0 * pair.amp_a**2),
         hbar * c**2 * md / (4.0 * pair.amp_b**2),
@@ -240,8 +261,8 @@ def integrate_region1(
     rigid-rotation frequency with a thousand steps per cycle; explicit
     steps coarser than an eighth of that cycle raise StepTooLarge.
     """
-    if t_end < 0.0:
-        raise ValueError("end time must be nonnegative")
+    if not 0.0 <= t_end < math.inf:
+        raise ValueError("end time must be nonnegative and finite")
     omega_a, omega_b = mode_frequencies(pair, hbar, c)
     a0 = pair.amp_a * np.exp(1j * pair.phase_a)
     b0 = pair.amp_b * np.exp(1j * pair.phase_b)
@@ -258,35 +279,31 @@ def integrate_region1(
     if dt > cycle / 8.0:
         raise StepTooLarge(f"step {dt:.3e} exceeds an eighth of the fastest cycle {cycle:.3e}")
 
-    def deriv(y: np.ndarray) -> np.ndarray:
-        da, db = region1_equations_of_motion(np.conj(y[0]), np.conj(y[1]), hbar, c)
-        return np.array([da, db])
+    def deriv(y_a: complex, y_b: complex) -> tuple[complex, complex]:
+        return region1_equations_of_motion(y_a.conjugate(), y_b.conjugate(), hbar, c)
 
-    if t_end == 0.0:
-        times = np.array([0.0])
-        starred = np.array([[a0, b0]])
-    else:
-        n = max(1, math.ceil(t_end / dt))
-        h = t_end / n
-        times = np.linspace(0.0, t_end, n + 1)
-        starred = np.empty((n + 1, 2), dtype=complex)
-        y = np.array([a0, b0])
-        starred[0] = y
-        for i in range(n):
-            k1 = deriv(y)
-            k2 = deriv(y + 0.5 * h * k1)
-            k3 = deriv(y + 0.5 * h * k2)
-            k4 = deriv(y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            starred[i + 1] = y
+    # Python complex scalars: a step costs a quarter of one on 2-element arrays.
+    y_a, y_b = complex(a0), complex(b0)
+    path_a, path_b = [y_a], [y_b]
+    n = 0 if t_end == 0.0 else max(1, math.ceil(t_end / dt))
+    h = t_end / n if n else 0.0
+    for _ in range(n):
+        k1a, k1b = deriv(y_a, y_b)
+        k2a, k2b = deriv(y_a + 0.5 * h * k1a, y_b + 0.5 * h * k1b)
+        k3a, k3b = deriv(y_a + 0.5 * h * k2a, y_b + 0.5 * h * k2b)
+        k4a, k4b = deriv(y_a + h * k3a, y_b + h * k3b)
+        y_a = y_a + (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+        y_b = y_b + (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+        path_a.append(y_a)
+        path_b.append(y_b)
 
     return ModeTrajectory(
         pair=pair,
         region="I",
         phi=None,
-        times=times,
-        q_a=np.conj(starred[:, 0]),
-        q_b=np.conj(starred[:, 1]),
+        times=np.linspace(0.0, t_end, n + 1),
+        q_a=np.conj(path_a),
+        q_b=np.conj(path_b),
         omega_a=omega_a,
         omega_b=omega_b,
     )
@@ -305,14 +322,14 @@ def fitted_frequency(trajectory: ModeTrajectory) -> float:
     return float(abs(slope))
 
 
-@dataclass
+@dataclass(frozen=True)
 class VacuumModes:
     """Unexcited mode coordinates entering the beables as background noise.
 
     Each row represents one +k member of a +-k pair (the -k partner is the
     conjugate coordinate, already folded into the sums), so every mode
     contributes a real standing-wave term.  Unexcited coordinates do not
-    move, so the fields they source are static.
+    move, so the fields they source are static.  Frozen like ModePair.
     """
 
     k_vectors: np.ndarray
@@ -320,9 +337,12 @@ class VacuumModes:
     coords: np.ndarray
 
     def __post_init__(self) -> None:
-        self.k_vectors = np.atleast_2d(np.asarray(self.k_vectors, dtype=float))
-        self.pols = np.atleast_2d(np.asarray(self.pols, dtype=float))
-        self.coords = np.atleast_1d(np.asarray(self.coords, dtype=complex))
+        _freeze(
+            self,
+            k_vectors=np.array(self.k_vectors, dtype=float, ndmin=2),
+            pols=np.array(self.pols, dtype=float, ndmin=2),
+            coords=np.array(self.coords, dtype=complex, ndmin=1),
+        )
         m = len(self.coords)
         if self.k_vectors.shape != (m, 3) or self.pols.shape != (m, 3):
             raise ValueError("need one wave vector and one polarization per coordinate")
@@ -333,6 +353,7 @@ class VacuumModes:
             raise ValueError("vacuum polarizations must be unit vectors")
         if np.any(np.abs(np.sum(self.k_vectors * self.pols, axis=1)) > 1e-9 * norms):
             raise ValueError("vacuum polarizations must be transverse")
+        _freeze(self, _curls=np.cross(self.k_vectors, self.pols))
 
     @classmethod
     def sample_ground_state(
@@ -353,49 +374,54 @@ class VacuumModes:
         coords = std * (rng.standard_normal(len(std)) + 1j * rng.standard_normal(len(std)))
         return cls(k_vectors=k_vectors, pols=pols, coords=coords)
 
-    def _im_waves(self, x: np.ndarray) -> np.ndarray:
-        return np.imag(self.coords * np.exp(1j * (self.k_vectors @ x)))
-
-    def u(self, x: np.ndarray) -> np.ndarray:
-        """Vector-potential background sum(pol 2 Re(q e^(i k.x)))."""
-        re = np.real(self.coords * np.exp(1j * (self.k_vectors @ x)))
-        return (self.pols * (2.0 * re)[:, None]).sum(axis=0)
-
-    def v(self, x: np.ndarray) -> np.ndarray:
-        """Magnetic background, the curl of u."""
-        kxe = np.cross(self.k_vectors, self.pols)
-        return (kxe * (-2.0 * self._im_waves(x))[:, None]).sum(axis=0)
-
-    def f(
-        self,
-        x: np.ndarray,
-        reference_pol: np.ndarray,
-        hbar: float = 1.0,
-        c: float = 1.0,
-    ) -> np.ndarray:
-        """Intensity cross-term vector built against a reference polarization."""
-        vecs = np.cross(reference_pol, np.cross(self.k_vectors, self.pols))
-        return (vecs * (-2.0 * hbar * c**2 * self._im_waves(x))[:, None]).sum(axis=0)
-
 
 @dataclass
 class BeableFrame:
-    """Local field beables at one spacetime point."""
+    """Local field beables at a spacetime point, or at an array of them.
+
+    Each field has the shape of the points x, (..., 3); t is as given.
+    """
 
     x: np.ndarray
-    t: float
+    t: float | np.ndarray
     vector_potential: np.ndarray
     electric_field: np.ndarray
     magnetic_field: np.ndarray
     intensity: np.ndarray
 
 
-def _background(pair, x, vacuum, reference_pol, hbar, c):
-    if vacuum is None:
-        zero = np.zeros(3)
-        return zero, zero, zero
-    ref = pair.pol_a if reference_pol is None else np.asarray(reference_pol, dtype=float)
-    return vacuum.u(x), vacuum.v(x), vacuum.f(x, ref, hbar, c)
+def _frames(pair, weights, x, t, volume, vacuum, reference_pol, hbar, c) -> BeableFrame:
+    """Beables of the two beams with weights (w_a, w_b) plus the background.
+
+    A weight scales its beam's frequency, electric field and intensity:
+    (1, 1) is the divided region, (1 + cos phi, 1 - cos phi) the recombined
+    one.  Points x have shape (..., 3) and times t broadcast against x[..., 0].
+    """
+    if not 0.0 < volume < math.inf:
+        raise ValueError("quantization volume must be positive and finite")
+    x = np.asarray(x, dtype=float)
+    w = np.array(weights)
+    rv = math.sqrt(volume)
+    omega = (hbar * c**2 / 4.0) * w / pair._amp**2
+    theta = x @ pair._k.T - np.multiply.outer(t, omega) - pair._phase
+    cos, sin = np.cos(theta), np.sin(theta)
+
+    a_field = (cos * ((2.0 / rv) * pair._amp)) @ pair._pol
+    e_field = (sin * ((-hbar * c / (2.0 * rv)) * w / pair._amp)) @ pair._pol
+    b_field = (sin * ((-2.0 / rv) * pair._amp)) @ pair._curl
+    # The oscillating factor (1 - cos 2 theta) / 2 of each beam, as sin^2 theta.
+    intensity = (sin**2 * ((hbar * c**2 / volume) * w)) @ pair._k
+    if vacuum is not None:
+        # Static standing waves: u = 2 Re(q e^(i k.x)) pol, v = curl u, and
+        # the cross term hbar c^2 (ref x v) weighted by the beams' sin theta.
+        waves = vacuum.coords * np.exp(1j * (x @ vacuum.k_vectors.T))
+        v = (-2.0 * waves.imag) @ vacuum._curls
+        a_field = a_field + (2.0 / rv) * (waves.real @ vacuum.pols)
+        b_field = b_field + v / rv
+        cross = pair._pol_a_cross if reference_pol is None else _cross_matrix(reference_pol)
+        g = (sin @ w)[..., None]
+        intensity = intensity - (hbar * c**2 / volume) * g * (v @ cross)
+    return BeableFrame(x, t, a_field, e_field, b_field, intensity)
 
 
 def beables_region1(
@@ -412,32 +438,12 @@ def beables_region1(
 
     The electric field scales inversely with each amplitude because the
     mode frequency does; with the frequency law hbar c^2 / (4 amp^2) the
-    frame satisfies E = -(1/c) dA/dt and B = curl A identically.
+    frame satisfies E = -(1/c) dA/dt and B = curl A identically.  Points
+    x may be an array of shape (..., 3), with times t broadcast against
+    x[..., 0].  The background's intensity cross term is taken against
+    reference_pol, by default beam a's polarization.
     """
-    x = np.asarray(x, dtype=float)
-    if volume <= 0.0:
-        raise ValueError("quantization volume must be positive")
-    omega_a, omega_b = mode_frequencies(pair, hbar, c)
-    th_a = float(np.dot(pair.k_a, x)) - omega_a * t - pair.phase_a
-    th_b = float(np.dot(pair.k_b, x)) - omega_b * t - pair.phase_b
-    u, v, f_vac = _background(pair, x, vacuum, reference_pol, hbar, c)
-    rv = math.sqrt(volume)
-
-    a_field = (2.0 / rv) * (
-        pair.pol_a * pair.amp_a * math.cos(th_a) + pair.pol_b * pair.amp_b * math.cos(th_b)
-    ) + u / rv
-    e_field = (-hbar * c / (2.0 * rv)) * (
-        pair.pol_a / pair.amp_a * math.sin(th_a) + pair.pol_b / pair.amp_b * math.sin(th_b)
-    )
-    b_field = (-2.0 / rv) * (
-        np.cross(pair.k_a, pair.pol_a) * pair.amp_a * math.sin(th_a)
-        + np.cross(pair.k_b, pair.pol_b) * pair.amp_b * math.sin(th_b)
-    ) + v / rv
-    g = math.sin(th_a) + math.sin(th_b)
-    intensity = (hbar * c**2 / (2.0 * volume)) * (
-        pair.k_a + pair.k_b - pair.k_a * math.cos(2.0 * th_a) - pair.k_b * math.cos(2.0 * th_b)
-    ) - f_vac * g / volume
-    return BeableFrame(x, t, a_field, e_field, b_field, intensity)
+    return _frames(pair, (1.0, 1.0), x, t, volume, vacuum, reference_pol, hbar, c)
 
 
 def beables_region2(
@@ -457,37 +463,10 @@ def beables_region2(
     electric field and intensity carry the interference weight 1 +- cos(phi),
     consistent with the phase-modulated frequencies: at phi = 0 the d beam
     freezes and stops transporting energy, at phi = pi the c beam does.
+    At phi = pi/2 both weights are 1 and the frame is the divided region's.
+    Points and times batch as in beables_region1.
     """
-    x = np.asarray(x, dtype=float)
-    if volume <= 0.0:
-        raise ValueError("quantization volume must be positive")
-    mc = 1.0 + math.cos(phi)
-    md = 1.0 - math.cos(phi)
-    omega_c, omega_d = region2_frequencies(pair, phi, hbar, c)
-    th_c = float(np.dot(pair.k_a, x)) - omega_c * t - pair.phase_a
-    th_d = float(np.dot(pair.k_b, x)) - omega_d * t - pair.phase_b
-    u, v, f_vac = _background(pair, x, vacuum, reference_pol, hbar, c)
-    rv = math.sqrt(volume)
-
-    a_field = (2.0 / rv) * (
-        pair.pol_a * pair.amp_a * math.cos(th_c) + pair.pol_b * pair.amp_b * math.cos(th_d)
-    ) + u / rv
-    e_field = (-hbar * c / (2.0 * rv)) * (
-        pair.pol_a / pair.amp_a * mc * math.sin(th_c)
-        + pair.pol_b / pair.amp_b * md * math.sin(th_d)
-    )
-    b_field = (-2.0 / rv) * (
-        np.cross(pair.k_a, pair.pol_a) * pair.amp_a * math.sin(th_c)
-        + np.cross(pair.k_b, pair.pol_b) * pair.amp_b * math.sin(th_d)
-    ) + v / rv
-    g = mc * math.sin(th_c) + md * math.sin(th_d)
-    intensity = (hbar * c**2 / (2.0 * volume)) * (
-        pair.k_a * mc
-        + pair.k_b * md
-        - pair.k_a * mc * math.cos(2.0 * th_c)
-        + pair.k_b * md * math.cos(2.0 * th_d)
-    ) - (f_vac / volume) * g / volume
-    return BeableFrame(x, t, a_field, e_field, b_field, intensity)
+    return _frames(pair, _weights(phi), x, t, volume, vacuum, reference_pol, hbar, c)
 
 
 def average_intensity_region1(
@@ -505,8 +484,7 @@ def average_intensity_region2(
     The oscillatory and background cross terms average to zero, leaving
     (hbar c^2 / 2V)(k_c (1 + cos phi) + k_d (1 - cos phi)).
     """
-    mc = 1.0 + math.cos(phi)
-    md = 1.0 - math.cos(phi)
+    mc, md = _weights(phi)
     return hbar * c**2 / (2.0 * volume) * (pair.k_a * mc + pair.k_b * md)
 
 
@@ -514,8 +492,7 @@ def beam_magnitudes_region2(
     pair: ModePair, phi: float, volume: float = 1.0, hbar: float = 1.0, c: float = 1.0
 ) -> tuple[float, float]:
     """Averaged intensity magnitude carried along each output beam."""
-    mc = 1.0 + math.cos(phi)
-    md = 1.0 - math.cos(phi)
+    mc, md = _weights(phi)
     scale = hbar * c**2 / (2.0 * volume)
     return (
         scale * float(np.linalg.norm(pair.k_a)) * mc,
@@ -708,32 +685,35 @@ def total_energy(
     return kinetic + oscillator + quantum_potential(state, q_a, q_b, hbar, c, step=step)
 
 
-def _frame_consistency(build, x, t: float, c: float, dt: float, dx: float, e_floor: float, b_floor: float):
-    # Errors are measured against the field envelopes so points where a
-    # component passes through zero do not blow up the relative error.
-    frame = build(x, t)
-    a_plus = build(x, t + dt).vector_potential
-    a_minus = build(x, t - dt).vector_potential
-    e_fd = -(a_plus - a_minus) / (2.0 * dt * c)
-    e_scale = max(float(np.linalg.norm(frame.electric_field)), e_floor, 1e-30)
-    e_err = float(np.linalg.norm(e_fd - frame.electric_field)) / e_scale
+# Rows of the shifted evaluations: the point itself, t +- dt, x + dx e_j, x - dx e_j.
+_TIME_SHIFTS = np.array([0.0, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+_POINT_SHIFTS = np.concatenate([np.zeros((3, 3)), np.eye(3), -np.eye(3)])
 
-    partial = np.empty((3, 3))
-    for j in range(3):
-        shift = np.zeros(3)
-        shift[j] = dx
-        partial[j] = (
-            build(x + shift, t).vector_potential - build(x - shift, t).vector_potential
-        ) / (2.0 * dx)
-    curl = np.array(
-        [
-            partial[1][2] - partial[2][1],
-            partial[2][0] - partial[0][2],
-            partial[0][1] - partial[1][0],
-        ]
+
+def _frame_consistency(pair, weights, x, t, volume, vacuum, hbar, c, dt, dx):
+    # One kernel call evaluates the point and its eight shifts.  Errors are
+    # measured against the field envelopes so points where a component
+    # passes through zero do not blow up the relative error.
+    x = np.asarray(x, dtype=float)
+    frames = _frames(
+        pair, weights, x + dx * _POINT_SHIFTS, t + dt * _TIME_SHIFTS, volume, vacuum, None, hbar, c
     )
-    b_scale = max(float(np.linalg.norm(frame.magnetic_field)), b_floor, 1e-30)
-    b_err = float(np.linalg.norm(curl - frame.magnetic_field)) / b_scale
+    a = frames.vector_potential
+    e_field = frames.electric_field[0]
+    b_field = frames.magnetic_field[0]
+    rv = math.sqrt(volume)
+    e_floor = hbar * c / (2.0 * rv) * (weights[0] / pair.amp_a + weights[1] / pair.amp_b)
+    b_floor = 2.0 * pair.k0 * (pair.amp_a + pair.amp_b) / rv
+
+    e_fd = -(a[1] - a[2]) / (2.0 * dt * c)
+    e_scale = max(float(np.linalg.norm(e_field)), e_floor, 1e-30)
+    e_err = float(np.linalg.norm(e_fd - e_field)) / e_scale
+
+    # partial[j, k] = dA_k/dx_j; curl_i = partial[j, k] - partial[k, j] for cyclic (i, j, k).
+    partial = (a[3:6] - a[6:9]) / (2.0 * dx)
+    curl = partial[[1, 2, 0], [2, 0, 1]] - partial[[2, 0, 1], [1, 2, 0]]
+    b_scale = max(float(np.linalg.norm(b_field)), b_floor, 1e-30)
+    b_err = float(np.linalg.norm(curl - b_field)) / b_scale
     return e_err, b_err
 
 
@@ -749,15 +729,7 @@ def frame_consistency_region1(
     dx: float = 1e-5,
 ) -> tuple[float, float]:
     """Relative errors of (E vs -(1/c) dA/dt, B vs curl A) in the divided region."""
-    x = np.asarray(x, dtype=float)
-    rv = math.sqrt(volume)
-    e_floor = hbar * c / (2.0 * rv) * (1.0 / pair.amp_a + 1.0 / pair.amp_b)
-    b_floor = 2.0 * pair.k0 * (pair.amp_a + pair.amp_b) / rv
-
-    def build(xx, tt):
-        return beables_region1(pair, xx, tt, volume, vacuum, None, hbar, c)
-
-    return _frame_consistency(build, x, t, c, dt, dx, e_floor, b_floor)
+    return _frame_consistency(pair, (1.0, 1.0), x, t, volume, vacuum, hbar, c, dt, dx)
 
 
 def frame_consistency_region2(
@@ -773,14 +745,4 @@ def frame_consistency_region2(
     dx: float = 1e-5,
 ) -> tuple[float, float]:
     """Relative errors of (E vs -(1/c) dA/dt, B vs curl A) in the recombined region."""
-    x = np.asarray(x, dtype=float)
-    rv = math.sqrt(volume)
-    mc = 1.0 + math.cos(phi)
-    md = 1.0 - math.cos(phi)
-    e_floor = hbar * c / (2.0 * rv) * (mc / pair.amp_a + md / pair.amp_b)
-    b_floor = 2.0 * pair.k0 * (pair.amp_a + pair.amp_b) / rv
-
-    def build(xx, tt):
-        return beables_region2(pair, phi, xx, tt, volume, vacuum, None, hbar, c)
-
-    return _frame_consistency(build, x, t, c, dt, dx, e_floor, b_floor)
+    return _frame_consistency(pair, _weights(phi), x, t, volume, vacuum, hbar, c, dt, dx)

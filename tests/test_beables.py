@@ -1,5 +1,6 @@
 """Mode dynamics, local field beables, and the quantum potential."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -104,6 +105,21 @@ def test_mode_pair_rejects_nonfinite_vectors(name, index, value):
     vector[index] = value
     with pytest.raises(ValueError):
         ModePair(amp_a=1.0, amp_b=1.0, **{name: vector})
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_volume_and_end_time_must_be_positive_and_finite(value):
+    x = [0.1, 0.2, 0.3]
+    for call in (
+        lambda: beables_region1(RIGID, x, 0.5, volume=value),
+        lambda: beables_region2(RIGID, 0.4, x, 0.5, volume=value),
+        lambda: frame_consistency_region2(RIGID, 0.4, x, 0.5, volume=value),
+    ):
+        with pytest.raises(ValueError, match="volume"):
+            call()
+    if value != 0.0:  # a zero-length trajectory is allowed
+        with pytest.raises(ValueError, match="end time"):
+            integrate_region1(RIGID, value)
 
 
 def test_single_frequency_detection():
@@ -326,20 +342,208 @@ def test_vacuum_modes_validation():
         VacuumModes(np.array([[1.0, 0, 0]]), np.array([[1.0, 0, 0]]), np.array([1.0 + 0j]))
 
 
+def test_pairs_and_vacuum_modes_are_immutable():
+    # The beables read rows derived at construction; nothing may change under them.
+    vac = _sample_vacuum()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        RIGID.amp_a = 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        vac.coords = vac.coords * 2.0
+    for array in (RIGID.k_a, RIGID.pol_b, vac.k_vectors, vac.pols, vac.coords):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    k_vectors = np.array([[0.0, 0.0, 1.0]])
+    alias = VacuumModes(k_vectors, np.array([[1.0, 0.0, 0.0]]), np.array([0.5j]))
+    k_vectors[0, 2] = 2.0
+    assert alias.k_vectors[0, 2] == 1.0
+
+
 def test_vacuum_curl_consistency():
+    # The background alone: frames with the vacuum minus frames without it.
     vac = _sample_vacuum(n=5, seed=51)
     x = np.array([0.3, -0.2, 0.7])
     h = 1e-6
+    points = x + h * np.concatenate([np.eye(3), -np.eye(3), np.zeros((1, 3))])
+    with_vac = beables_region1(RIGID, points, 0.4, vacuum=vac)
+    without = beables_region1(RIGID, points, 0.4)
+    u = with_vac.vector_potential - without.vector_potential
+    v = with_vac.magnetic_field[6] - without.magnetic_field[6]
+    partial = (u[:3] - u[3:6]) / (2.0 * h)
     curl = np.zeros(3)
-    partial = np.empty((3, 3))
-    for j in range(3):
-        shift = np.zeros(3)
-        shift[j] = h
-        partial[j] = (vac.u(x + shift) - vac.u(x - shift)) / (2.0 * h)
     curl[0] = partial[1][2] - partial[2][1]
     curl[1] = partial[2][0] - partial[0][2]
     curl[2] = partial[0][1] - partial[1][0]
-    assert np.abs(curl - vac.v(x)).max() < 1e-6
+    assert np.abs(v).max() > 1e-2
+    assert np.abs(curl - v).max() < 1e-6
+
+
+FIELDS = ("vector_potential", "electric_field", "magnetic_field", "intensity")
+
+
+def test_region2_reduces_to_region1_at_half_phase():
+    # At phi = pi/2 both recombined weights are 1, so every field of every
+    # frame must be the divided region's, background cross term included.
+    pair = ModePair(amp_a=1.3, amp_b=0.8, phase_a=0.4, phase_b=-0.9)
+    vac = _sample_vacuum(n=16, seed=17)
+    rng = np.random.default_rng(19)
+    for _ in range(6):
+        x = rng.uniform(-3.0, 3.0, 3)
+        t = rng.uniform(0.0, 20.0)
+        one = beables_region1(pair, x, t, volume=4.0, vacuum=vac)
+        two = beables_region2(pair, math.pi / 2.0, x, t, volume=4.0, vacuum=vac)
+        for name in FIELDS:
+            want = getattr(one, name)
+            gap = np.abs(getattr(two, name) - want).max()
+            assert gap <= 1e-12 * np.abs(want).max(), name
+
+
+@pytest.mark.parametrize("phi", [None, 0.0, 1.1, math.pi / 2.0, 2.9])
+@pytest.mark.parametrize("vacuum_modes", [0, 6])
+def test_batched_frames_match_per_point(phi, vacuum_modes):
+    pair = ModePair(amp_a=0.9, amp_b=1.2, phase_a=2.0, phase_b=0.3)
+    vac = _sample_vacuum(n=vacuum_modes, seed=23) if vacuum_modes else None
+    rng = np.random.default_rng(29)
+    points = rng.uniform(-4.0, 4.0, (11, 3))
+
+    def build(x, t):
+        if phi is None:
+            return beables_region1(pair, x, t, volume=2.5, vacuum=vac)
+        return beables_region2(pair, phi, x, t, volume=2.5, vacuum=vac)
+
+    for times in (1.7, rng.uniform(0.0, 30.0, 11)):
+        batch = build(points, times)
+        single = [build(x, t) for x, t in zip(points, np.broadcast_to(times, 11))]
+        for name in FIELDS:
+            want = np.array([getattr(frame, name) for frame in single])
+            got = getattr(batch, name)
+            assert got.shape == (11, 3)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), name
+    # Any leading shape, with times broadcast against it.
+    grid = build(points[:10].reshape(2, 5, 3), np.linspace(0.0, 3.0, 5))
+    assert grid.magnetic_field.shape == (2, 5, 3)
+    flat = build(points[:10], np.tile(np.linspace(0.0, 3.0, 5), 2))
+    assert np.array_equal(grid.intensity.reshape(10, 3), flat.intensity)
+
+
+def _unit(theta, azimuth):
+    return np.array(
+        [math.sin(theta) * math.cos(azimuth), math.sin(theta) * math.sin(azimuth), math.cos(theta)]
+    )
+
+
+def _transverse(theta, azimuth, psi):
+    # A unit vector at angle psi in the plane transverse to _unit(theta, azimuth).
+    e1 = np.array(
+        [math.cos(theta) * math.cos(azimuth), math.cos(theta) * math.sin(azimuth), -math.sin(theta)]
+    )
+    e2 = np.array([-math.sin(azimuth), math.cos(azimuth), 0.0])
+    return math.cos(psi) * e1 + math.sin(psi) * e2
+
+
+def _closed_form(beams, modes, x, t, volume, hbar, c, ref):
+    """A, E, B and the intensity at one point, summed term by term.
+
+    beams holds (k, pol, amp, phase, weight) per excited beam and modes
+    (k, pol, q) per background mode.  Each field comes with its envelope,
+    the sum of its terms' amplitudes, which rounding is measured against:
+    a phase carries an absolute error, so a term near a zero of its sine
+    or cosine is not known to its own relative precision.
+    """
+    rv = math.sqrt(volume)
+    fields = [np.zeros(3) for _ in range(4)]
+    envelopes = [0.0] * 4
+    g = 0.0
+
+    def add(i, term, amplitude):
+        fields[i] += term
+        envelopes[i] += amplitude
+
+    for k, pol, amp, phase, w in beams:
+        theta = float(np.dot(k, x)) - hbar * c**2 * w / (4.0 * amp**2) * t - phase
+        curl = np.cross(k, pol)
+        scale = hbar * c**2 / (2.0 * volume) * w * np.linalg.norm(k)
+        add(0, 2.0 / rv * amp * math.cos(theta) * pol, 2.0 / rv * amp)
+        add(1, -hbar * c / (2.0 * rv) * w / amp * math.sin(theta) * pol, hbar * c / (2.0 * rv) * w / amp)
+        add(2, -2.0 / rv * amp * math.sin(theta) * curl, 2.0 / rv * amp * np.linalg.norm(curl))
+        add(3, hbar * c**2 / (2.0 * volume) * w * (1.0 - math.cos(2.0 * theta)) * k, 2.0 * scale)
+        g += w * math.sin(theta)
+    weight_sum = sum(beam[4] for beam in beams)
+    for k, pol, q in modes:
+        wave = q * complex(math.cos(np.dot(k, x)), math.sin(np.dot(k, x)))
+        curl = np.cross(k, pol)
+        v = -2.0 * wave.imag * curl
+        reach = 2.0 * abs(q) * np.linalg.norm(curl)
+        add(0, 2.0 / rv * wave.real * pol, 2.0 / rv * abs(q))
+        add(2, v / rv, reach / rv)
+        add(3, -hbar * c**2 / volume * g * np.cross(ref, v), hbar * c**2 / volume * weight_sum * reach)
+    return fields, envelopes
+
+
+ANGLE = st.floats(0.0, 2.0 * math.pi)
+
+
+@given(
+    region=st.sampled_from([1, 2]),
+    phi=ANGLE,
+    amps=st.tuples(st.floats(0.3, 3.0), st.floats(0.3, 3.0)),
+    phases=st.tuples(ANGLE, ANGLE),
+    k0=st.floats(0.5, 2.0),
+    geometry=st.lists(ANGLE, min_size=6, max_size=6),
+    volume=st.floats(0.2, 5.0),
+    units=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+    modes=st.lists(
+        st.tuples(ANGLE, ANGLE, ANGLE, st.floats(0.2, 3.0), st.complex_numbers(max_magnitude=2.0)),
+        max_size=4,
+    ),
+    reference=st.none() | st.tuples(ANGLE, ANGLE),
+    samples=st.lists(
+        st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0), st.floats(0.0, 20.0)),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_frames_match_closed_form(
+    region, phi, amps, phases, k0, geometry, volume, units, modes, reference, samples
+):
+    th_a, az_a, psi_a, th_b, az_b, psi_b = geometry
+    pair = ModePair(
+        amp_a=amps[0],
+        amp_b=amps[1],
+        phase_a=phases[0],
+        phase_b=phases[1],
+        k_a=k0 * _unit(th_a, az_a),
+        k_b=k0 * _unit(th_b, az_b),
+        pol_a=_transverse(th_a, az_a, psi_a),
+        pol_b=_transverse(th_b, az_b, psi_b),
+    )
+    weights = (1.0, 1.0) if region == 1 else (1.0 + math.cos(phi), 1.0 - math.cos(phi))
+    beams = [
+        (pair.k_a, pair.pol_a, pair.amp_a, pair.phase_a, weights[0]),
+        (pair.k_b, pair.pol_b, pair.amp_b, pair.phase_b, weights[1]),
+    ]
+    vac = None
+    if modes:
+        vac = VacuumModes(
+            k_vectors=[kappa * _unit(th, az) for th, az, _, kappa, _ in modes],
+            pols=[_transverse(th, az, psi) for th, az, psi, _, _ in modes],
+            coords=[q for *_, q in modes],
+        )
+    ref = None if reference is None else _unit(*reference)
+    hbar, c = units
+    points = np.array([sample[:3] for sample in samples])
+    times = np.array([sample[3] for sample in samples])
+    if region == 1:
+        frames = beables_region1(pair, points, times, volume, vac, ref, hbar, c)
+    else:
+        frames = beables_region2(pair, phi, points, times, volume, vac, ref, hbar, c)
+    mode_rows = [] if vac is None else list(zip(vac.k_vectors, vac.pols, vac.coords))
+    for i, (x, t) in enumerate(zip(points, times)):
+        want, envelopes = _closed_form(
+            beams, mode_rows, x, t, volume, hbar, c, pair.pol_a if ref is None else ref
+        )
+        for name, field, envelope in zip(FIELDS, want, envelopes):
+            got = getattr(frames, name)[i]
+            assert np.abs(got - field).max() <= 1e-12 * envelope, name
 
 
 def test_ground_state_quantum_potential():

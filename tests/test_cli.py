@@ -8,9 +8,11 @@ import re
 import numpy as np
 import pytest
 
+from gralab.beables import ModePair, beables_region1
 from gralab.cli import main
 
 FLOAT_CELL = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,}$")
+FIELD_NAMES = ("vector_potential", "electric_field", "magnetic_field", "intensity")
 
 
 def _read_csv(path):
@@ -154,6 +156,22 @@ def test_beables_region1_with_checks(tmp_path, capsys):
     header, rows = _read_csv(tmp_path / "fields.csv")
     assert len(header) == 13
     assert len(rows) == 33
+    # The table comes from one batched call and must equal per-point frames
+    # along the beam diagonal: to 1e-12 of each field's envelope, plus the
+    # rounding of the table's 12 printed digits.
+    pair = ModePair.single_frequency(1.0)
+    diagonal = np.array([1.0, 1.0, 0.0]) / np.linalg.norm([1.0, 1.0, 0.0])
+    s_values = np.linspace(0.0, 4.0 * math.pi, 33)
+    frames = [beables_region1(pair, s * diagonal, 0.0) for s in s_values]
+    fields = [np.array([getattr(frame, name) for frame in frames]) for name in FIELD_NAMES]
+    want = np.hstack([s_values[:, None], *fields])
+    envelope = np.concatenate([[1.0], *(np.full(3, np.abs(field).max()) for field in fields)])
+    table = np.array(rows, dtype=float)
+    assert np.all(np.abs(table - want) <= 1e-12 * envelope + 5e-12 * np.abs(want))
+    # Full precision in JSON: the same comparison without the printing term.
+    assert main(["--out-dir", str(tmp_path / "json"), "--format", "json", "beables", "--samples", "33"]) == 0
+    table = np.array(json.loads((tmp_path / "json" / "fields.json").read_text())["rows"])
+    assert np.all(np.abs(table - want) <= 1e-12 * envelope)
 
 
 def test_beables_region2_sweep_checks(tmp_path, capsys):
