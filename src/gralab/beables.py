@@ -15,7 +15,7 @@ them; the wavenumber of the excited pair sets the frequency scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -130,31 +130,27 @@ def _cross_matrix(r) -> np.ndarray:
     return np.array([[0.0, r2, -r1], [-r2, 0.0, r0], [r1, -r0, 0.0]])
 
 
-def _weights(phi: float) -> tuple[float, float]:
-    """Recombined-beam weights (1 + cos phi, 1 - cos phi) of beams c and d."""
+def _weights(phi: float | None) -> tuple[float, float]:
+    """Beam weights: (1, 1) in the divided region (phi None), and
+    (1 + cos phi, 1 - cos phi) for beams c and d of the recombined one."""
+    if phi is None:
+        return 1.0, 1.0
     return 1.0 + math.cos(phi), 1.0 - math.cos(phi)
 
 
-def mode_frequencies(pair: ModePair, hbar: float = 1.0, c: float = 1.0) -> tuple[float, float]:
-    """Nonclassical rotation frequencies hbar c^2 / (4 amp^2) per mode."""
-    return (
-        hbar * c**2 / (4.0 * pair.amp_a**2),
-        hbar * c**2 / (4.0 * pair.amp_b**2),
-    )
-
-
-def region2_frequencies(
-    pair: ModePair, phi: float, hbar: float = 1.0, c: float = 1.0
+def mode_frequencies(
+    pair: ModePair, hbar: float = 1.0, c: float = 1.0, *, phi: float | None = None
 ) -> tuple[float, float]:
-    """Recombined-beam frequencies, modulated by the interferometer phase.
+    """Nonclassical rotation frequencies hbar c^2 w / (4 amp^2) per mode.
 
-    The c beam carries weight 1 + cos(phi) and the d beam 1 - cos(phi), so
-    an extinguished beam also stops rotating.
+    The weights w are 1 in the divided region (phi None).  At interferometer
+    phase phi the recombined beam c carries 1 + cos(phi) and beam d
+    1 - cos(phi), so an extinguished beam also stops rotating.
     """
-    mc, md = _weights(phi)
+    w_a, w_b = _weights(phi)
     return (
-        hbar * c**2 * mc / (4.0 * pair.amp_a**2),
-        hbar * c**2 * md / (4.0 * pair.amp_b**2),
+        hbar * c**2 * w_a / (4.0 * pair.amp_a**2),
+        hbar * c**2 * w_b / (4.0 * pair.amp_b**2),
     )
 
 
@@ -176,6 +172,19 @@ def region1_equations_of_motion(
     return 1j * common, common
 
 
+def _start(pair: ModePair, hbar: float, c: float):
+    """Starting q_a* and q_b*, their combination w0 = q_a* + i q_b*, and the
+    frequency hbar c^2 / |w0|^2 at which w0 turns.  Raises SingularDenominator
+    when w0 vanishes, where the equations of motion are undefined."""
+    a0 = pair.amp_a * np.exp(1j * pair.phase_a)
+    b0 = pair.amp_b * np.exp(1j * pair.phase_b)
+    w0 = a0 + 1j * b0
+    h2 = abs(w0) ** 2
+    if h2 < 1e-24:
+        raise SingularDenominator("q_a - i q_b vanishes at the start")
+    return a0, b0, w0, hbar * c**2 / h2
+
+
 def analytic_region1(pair: ModePair, times, hbar: float = 1.0, c: float = 1.0):
     """Closed-form starred coordinates (q_a*(t), q_b*(t)) for any start.
 
@@ -184,13 +193,7 @@ def analytic_region1(pair: ModePair, times, hbar: float = 1.0, c: float = 1.0):
     on a circle about an offset center.  Vectorized over times.
     """
     t = np.asarray(times, dtype=float)
-    a0 = pair.amp_a * np.exp(1j * pair.phase_a)
-    b0 = pair.amp_b * np.exp(1j * pair.phase_b)
-    w0 = a0 + 1j * b0
-    h2 = abs(w0) ** 2
-    if h2 < 1e-24:
-        raise SingularDenominator("q_a - i q_b vanishes at the start")
-    omega = hbar * c**2 / h2
+    a0, b0, w0, omega = _start(pair, hbar, c)
     turn = np.exp(1j * omega * t) - 1.0
     return a0 + 0.5 * w0 * turn, b0 - 0.5j * w0 * turn
 
@@ -225,11 +228,9 @@ def single_frequency_solution(pair: ModePair, times, hbar: float = 1.0, c: float
 
 @dataclass
 class ModeTrajectory:
-    """Sampled mode coordinates q_a(t), q_b(t) with their frequencies."""
+    """Sampled divided-region coordinates q_a(t), q_b(t) with their frequencies."""
 
     pair: ModePair
-    region: str
-    phi: float | None
     times: np.ndarray
     q_a: np.ndarray
     q_b: np.ndarray
@@ -237,10 +238,6 @@ class ModeTrajectory:
     omega_b: float
 
     def __post_init__(self) -> None:
-        if self.region not in ("I", "II"):
-            raise ValueError("region must be 'I' or 'II'")
-        if self.region == "II" and self.phi is None:
-            raise ValueError("recombined-region trajectories need a phase phi")
         self.times = np.asarray(self.times, dtype=float)
         self.q_a = np.asarray(self.q_a, dtype=complex)
         self.q_b = np.asarray(self.q_b, dtype=complex)
@@ -264,12 +261,7 @@ def integrate_region1(
     if not 0.0 <= t_end < math.inf:
         raise ValueError("end time must be nonnegative and finite")
     omega_a, omega_b = mode_frequencies(pair, hbar, c)
-    a0 = pair.amp_a * np.exp(1j * pair.phase_a)
-    b0 = pair.amp_b * np.exp(1j * pair.phase_b)
-    w0 = a0 + 1j * b0
-    if abs(w0) ** 2 < 1e-24:
-        raise SingularDenominator("q_a - i q_b vanishes at the start")
-    omega_turn = hbar * c**2 / abs(w0) ** 2
+    a0, b0, _, omega_turn = _start(pair, hbar, c)
     fastest = max(omega_a, omega_b, omega_turn)
     cycle = 2.0 * math.pi / fastest
     if dt is None:
@@ -299,8 +291,6 @@ def integrate_region1(
 
     return ModeTrajectory(
         pair=pair,
-        region="I",
-        phi=None,
         times=np.linspace(0.0, t_end, n + 1),
         q_a=np.conj(path_a),
         q_b=np.conj(path_b),
@@ -443,7 +433,7 @@ def beables_region1(
     x[..., 0].  The background's intensity cross term is taken against
     reference_pol, by default beam a's polarization.
     """
-    return _frames(pair, (1.0, 1.0), x, t, volume, vacuum, reference_pol, hbar, c)
+    return _frames(pair, _weights(None), x, t, volume, vacuum, reference_pol, hbar, c)
 
 
 def beables_region2(
@@ -469,46 +459,31 @@ def beables_region2(
     return _frames(pair, _weights(phi), x, t, volume, vacuum, reference_pol, hbar, c)
 
 
-def average_intensity_region1(
-    pair: ModePair, volume: float = 1.0, hbar: float = 1.0, c: float = 1.0
+def average_intensity(
+    pair: ModePair,
+    phi: float | None = None,
+    volume: float = 1.0,
+    hbar: float = 1.0,
+    c: float = 1.0,
 ) -> np.ndarray:
-    """Cycle-averaged intensity vector (hbar c^2 / 2V)(k_a + k_b)."""
-    return hbar * c**2 / (2.0 * volume) * (pair.k_a + pair.k_b)
+    """Cycle-averaged intensity vector (hbar c^2 / 2V)(w_a k_a + w_b k_b).
 
-
-def average_intensity_region2(
-    pair: ModePair, phi: float, volume: float = 1.0, hbar: float = 1.0, c: float = 1.0
-) -> np.ndarray:
-    """Cycle-averaged recombined intensity, amplitude-independent.
-
-    The oscillatory and background cross terms average to zero, leaving
-    (hbar c^2 / 2V)(k_c (1 + cos phi) + k_d (1 - cos phi)).
+    The weights are those of mode_frequencies: phi None is the divided
+    region, a phase the recombined one.  The oscillatory and background
+    cross terms average to zero, so the result is amplitude-independent.
     """
-    mc, md = _weights(phi)
-    return hbar * c**2 / (2.0 * volume) * (pair.k_a * mc + pair.k_b * md)
-
-
-def beam_magnitudes_region2(
-    pair: ModePair, phi: float, volume: float = 1.0, hbar: float = 1.0, c: float = 1.0
-) -> tuple[float, float]:
-    """Averaged intensity magnitude carried along each output beam."""
-    mc, md = _weights(phi)
-    scale = hbar * c**2 / (2.0 * volume)
-    return (
-        scale * float(np.linalg.norm(pair.k_a)) * mc,
-        scale * float(np.linalg.norm(pair.k_b)) * md,
-    )
+    w_a, w_b = _weights(phi)
+    return hbar * c**2 / (2.0 * volume) * (pair.k_a * w_a + pair.k_b * w_b)
 
 
 def beam_intensity_curves(
     pair: ModePair, phis, volume: float = 1.0, hbar: float = 1.0, c: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Averaged per-beam intensities across a phase sweep."""
-    pairs = [beam_magnitudes_region2(pair, float(p), volume, hbar, c) for p in phis]
-    if not pairs:
-        return np.array([]), np.array([])
-    i_c, i_d = zip(*pairs)
-    return np.array(i_c), np.array(i_d)
+    """Averaged intensity magnitudes (hbar c^2 / 2V) k0 (1 +- cos phi) along
+    the recombined beams c and d, across a phase sweep."""
+    cos = np.cos(np.asarray(phis, dtype=float))
+    scale = hbar * c**2 / (2.0 * volume) * pair.k0
+    return scale * (1.0 + cos), scale * (1.0 - cos)
 
 
 def visibility(curve) -> float:
@@ -729,7 +704,7 @@ def frame_consistency_region1(
     dx: float = 1e-5,
 ) -> tuple[float, float]:
     """Relative errors of (E vs -(1/c) dA/dt, B vs curl A) in the divided region."""
-    return _frame_consistency(pair, (1.0, 1.0), x, t, volume, vacuum, hbar, c, dt, dx)
+    return _frame_consistency(pair, _weights(None), x, t, volume, vacuum, hbar, c, dt, dx)
 
 
 def frame_consistency_region2(

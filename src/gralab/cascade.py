@@ -57,7 +57,7 @@ class CascadeConfig:
     epsilon_1: float = 0.1
     epsilon_t: float = 0.05
     epsilon_r: float = 0.05
-    bs: BeamSplitter = field(default_factory=BeamSplitter.balanced)
+    bs: BeamSplitter = field(default_factory=BeamSplitter)
     accidental_collection: float = 1.0
     arrival_mode: str = "analytic"
     run_time: float | None = None
@@ -117,8 +117,8 @@ def g2_analytic(n_omega: float, f: float) -> float:
     Vanishing-efficiency limit of the counting model: exactly 0 at Nw = 0
     and approaching 1 as accidentals dominate.
     """
-    if n_omega < 0.0:
-        raise ValueError("Nw must be nonnegative")
+    if not 0.0 <= n_omega < math.inf:
+        raise ValueError("Nw must be nonnegative and finite")
     if not 0.0 < f <= 1.0:
         raise ValueError("arrival probability must lie in (0, 1]")
     return (2.0 * f * n_omega + n_omega**2) / (f + n_omega) ** 2
@@ -202,8 +202,9 @@ def simulate(cfg: CascadeConfig) -> CountRecord:
     routes an arrived photon against p_t and p_t + p_r.  Accidental
     photons, Poisson with mean N w thinned by accidental_collection, split
     into independent per-arm Poisson streams, so one more uniform per arm
-    marks the gates where at least one was counted.  Counters record per-gate indicators, whose probabilities are
-    gate_probabilities(cfg).  Deterministic for a fixed configuration.
+    marks the gates where at least one was counted.  Counters record
+    per-gate indicators, whose probabilities are gate_probabilities(cfg).
+    Deterministic for a fixed configuration.
     """
     f = f_omega(cfg)
     p_short = 1.0 - math.exp(-cfg.gate / cfg.lifetime)

@@ -41,10 +41,8 @@ class BeamSplitter:
             raise ValueError("amplitudes must lie in [0, 1]")
         if abs(self.t**2 + self.r**2 - 1.0) > 1e-12:
             raise ValueError("t^2 + r^2 must equal 1 (lossless splitter)")
-
-    @classmethod
-    def balanced(cls) -> "BeamSplitter":
-        return cls()
+        if not math.isfinite(self.reflection_phase):
+            raise ValueError("reflection phase must be finite")
 
     @classmethod
     def from_transmittance(cls, t2: float) -> "BeamSplitter":
@@ -73,6 +71,11 @@ class CoherentState:
     """Coherent state of complex amplitude alpha (Poissonian statistics)."""
 
     alpha: complex
+
+    def __post_init__(self) -> None:
+        alpha = complex(self.alpha)
+        if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
+            raise ValueError("coherent amplitude must be finite")
 
     @property
     def mean_photons(self) -> float:
@@ -142,7 +145,7 @@ def g2(state: InputState, bs: BeamSplitter | None = None) -> float:
     input carries no light.
     """
     if bs is None:
-        bs = BeamSplitter.balanced()
+        bs = BeamSplitter()
     nt = expect_transmitted(state, bs)
     nr = expect_reflected(state, bs)
     if nt == 0.0 or nr == 0.0:
@@ -214,25 +217,36 @@ class TwoModeMixture:
         return exp_t, exp_r, exp_c
 
 
-def split_photons(n: int, bs: BeamSplitter, n_max: int | None = None) -> TwoModeFockSpace:
-    """Send |n> through the splitter by applying (t b_t+ + e^{i phase} r b_r+)^n.
+def _ladder(bs: BeamSplitter, n_max: int, n: int):
+    """Yield the splitter outputs of |0>, |1>, .. |n> on one input port.
 
-    Starts from the two-arm vacuum and applies the combined creation operator
-    n times as matrix products, then divides by sqrt(n!).
+    Each rung applies the combined creation operator t b_t+ + e^{i phase}
+    r b_r+ to the previous one as matrix products, with the normalization
+    1/sqrt(k) of rung k folded into the two scalar coefficients, so every
+    rung is a unit vector and no n! is formed.
     """
+    create = creation_matrix(n_max)
+    into_r = np.exp(1j * bs.reflection_phase) * bs.r
+    psi = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    psi[0, 0] = 1.0
+    yield psi
+    for k in range(1, n + 1):
+        norm = 1.0 / math.sqrt(k)
+        psi = (bs.t * norm) * (create @ psi) + (into_r * norm) * (psi @ create.T)
+        yield psi
+
+
+def split_photons(n: int, bs: BeamSplitter, n_max: int | None = None) -> TwoModeFockSpace:
+    """Send |n> through the splitter: (t b_t+ + e^{i phase} r b_r+)^n / sqrt(n!)
+    applied to the two-arm vacuum, one normalized creation step per photon."""
     if n < 0:
         raise ValueError("photon number must be nonnegative")
     if n_max is None:
         n_max = n
     if n_max < n:
         raise TruncationError(f"cutoff {n_max} cannot hold {n} photons")
-    create = creation_matrix(n_max)
-    phase = np.exp(1j * bs.reflection_phase)
-    psi = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    psi[0, 0] = 1.0
-    for _ in range(n):
-        psi = bs.t * (create @ psi) + phase * bs.r * (psi @ create.T)
-    psi /= math.sqrt(math.factorial(n))
+    for psi in _ladder(bs, n_max, n):
+        pass
     return TwoModeFockSpace(n_max=n_max, amplitudes=psi)
 
 
@@ -309,15 +323,7 @@ def oracle_output_state(
             f"weight {tail:.3e} beyond cutoff {n_max} exceeds tolerance {leakage_tol:.1e}"
         )
 
-    create = creation_matrix(n_max)
-    phase = np.exp(1j * bs.reflection_phase)
-    components = []
-    psi = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    psi[0, 0] = 1.0
-    components.append(TwoModeFockSpace(n_max=n_max, amplitudes=psi))
-    for n in range(1, n_max + 1):
-        psi = (bs.t * (create @ psi) + phase * bs.r * (psi @ create.T)) / math.sqrt(n)
-        components.append(TwoModeFockSpace(n_max=n_max, amplitudes=psi))
+    components = [TwoModeFockSpace(n_max, psi) for psi in _ladder(bs, n_max, n_max)]
     return TwoModeMixture(weights=weights, components=components, tail=tail)
 
 
@@ -329,7 +335,7 @@ def oracle_g2(
 ) -> float:
     """Coincidence ratio evaluated from the brute-force output state."""
     if bs is None:
-        bs = BeamSplitter.balanced()
+        bs = BeamSplitter()
     out = oracle_output_state(state, bs, n_max=n_max, leakage_tol=leakage_tol)
     exp_t, exp_r, exp_c = out.arm_expectations()
     if exp_t <= 0.0 or exp_r <= 0.0:

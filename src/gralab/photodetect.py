@@ -79,8 +79,8 @@ def resonance_factor(e_mismatch, t: float, hbar: float = 1.0):
     Evaluated as -i (t/hbar) e^(i E t / 2 hbar) sinc(E t / 2 hbar), which
     is smooth through the resonance, where it grows linearly in t.
     """
-    if t < 0.0:
-        raise ValueError("exposure time must be nonnegative")
+    if not 0.0 <= t < math.inf:
+        raise ValueError("exposure time must be nonnegative and finite")
     e = np.asarray(e_mismatch, dtype=float)
     half = e * t / (2.0 * hbar)
     return -1j * (t / hbar) * np.exp(1j * half) * np.sinc(half / np.pi)

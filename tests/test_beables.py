@@ -11,18 +11,15 @@ from hypothesis import strategies as st
 from gralab.beables import (
     EmptyCurve,
     ModePair,
-    ModeTrajectory,
     NodeError,
     SingularDenominator,
     StepTooLarge,
     VacuumModes,
     analytic_region1,
-    average_intensity_region1,
-    average_intensity_region2,
+    average_intensity,
     beables_region1,
     beables_region2,
     beam_intensity_curves,
-    beam_magnitudes_region2,
     fitted_frequency,
     frame_consistency_region1,
     frame_consistency_region2,
@@ -32,7 +29,6 @@ from gralab.beables import (
     quantum_potential,
     region1_equations_of_motion,
     region1_modulus,
-    region2_frequencies,
     single_frequency_solution,
     single_mode_ground_state,
     total_energy,
@@ -201,13 +197,6 @@ def test_fitted_frequency_matches_law():
         assert np.abs(fitted_frequency(traj) - omega) / omega < 1e-9
 
 
-def test_trajectory_region_validation():
-    with pytest.raises(ValueError):
-        ModeTrajectory(RIGID, "III", None, [0.0], [1.0], [1.0], 0.25, 0.25)
-    with pytest.raises(ValueError):
-        ModeTrajectory(RIGID, "II", None, [0.0], [1.0], [1.0], 0.25, 0.25)
-
-
 def test_region1_frame_consistency():
     e_err, b_err = frame_consistency_region1(TILTED, [0.3, 0.2, 0.1], 0.7)
     assert e_err < 1e-6
@@ -253,19 +242,23 @@ def test_region1_cycle_averaged_intensity():
         ]
     )
     mean = samples.mean(axis=0)
-    expected = average_intensity_region1(RIGID)
+    expected = average_intensity(RIGID)
     assert np.abs(mean - expected).max() < 1e-12
     assert np.abs(expected - 0.5 * (RIGID.k_a + RIGID.k_b)).max() < 1e-15
 
 
 def test_region2_frequency_modulation():
     pair = ModePair(amp_a=1.0, amp_b=1.0)
-    omega_c, omega_d = region2_frequencies(pair, 0.0)
+    omega_c, omega_d = mode_frequencies(pair, phi=0.0)
     assert np.abs(omega_c - 0.5) < 1e-15
     assert omega_d == 0.0
-    omega_c, omega_d = region2_frequencies(pair, math.pi / 2.0)
+    omega_c, omega_d = mode_frequencies(pair, phi=math.pi / 2.0)
     assert np.abs(omega_c - 0.25) < 1e-15
     assert np.abs(omega_d - 0.25) < 1e-15
+    # At phi = pi/2 the recombined frequencies are the divided region's.
+    wide = ModePair(amp_a=1.3, amp_b=0.8)
+    half = mode_frequencies(wide, 1.7, 0.6, phi=math.pi / 2.0)
+    assert np.abs(np.subtract(half, mode_frequencies(wide, 1.7, 0.6))).max() < 1e-15
 
 
 def test_region2_frame_consistency():
@@ -281,7 +274,7 @@ def test_region2_sampled_average_matches_closed_form():
     # period covers the full cycle of every oscillatory term
     pair = ModePair(amp_a=1.0, amp_b=1.0)
     phi = math.pi / 2.0
-    omega = region2_frequencies(pair, phi)[0]
+    omega = mode_frequencies(pair, phi=phi)[0]
     period = 2.0 * math.pi / omega
     x = np.array([0.2, -0.3, 0.5])
     samples = np.array(
@@ -290,20 +283,25 @@ def test_region2_sampled_average_matches_closed_form():
             for t in np.arange(128) * (period / 128.0)
         ]
     )
-    expected = average_intensity_region2(pair, phi)
+    expected = average_intensity(pair, phi)
     assert np.abs(samples.mean(axis=0) - expected).max() < 1e-12
+    assert np.abs(expected - average_intensity(pair)).max() < 1e-15
 
 
 def test_region2_extinctions_and_balance():
     pair = ModePair(amp_a=1.0, amp_b=1.0)
-    i_c0, i_d0 = beam_magnitudes_region2(pair, 0.0)
+    (i_c0, i_cpi, i_ch), (i_d0, i_dpi, i_dh) = beam_intensity_curves(
+        pair, [0.0, math.pi, math.pi / 2.0]
+    )
     assert i_d0 == 0.0
     assert np.abs(i_c0 - 1.0) < 1e-15
-    i_cpi, i_dpi = beam_magnitudes_region2(pair, math.pi)
     assert np.abs(i_cpi) < 1e-16
     assert np.abs(i_dpi - 1.0) < 1e-15
-    i_ch, i_dh = beam_magnitudes_region2(pair, math.pi / 2.0)
     assert np.abs(i_ch - i_dh) < 1e-15
+    # At phi = pi/2 each beam carries the divided region's averaged intensity.
+    divided = average_intensity(pair)
+    assert np.abs(i_ch - divided @ pair.k_a / pair.k0) < 1e-15
+    assert np.abs(i_dh - divided @ pair.k_b / pair.k0) < 1e-15
 
 
 def test_region2_magnitudes_independent_of_amplitudes():
@@ -311,8 +309,8 @@ def test_region2_magnitudes_independent_of_amplitudes():
     narrow = ModePair(amp_a=1.0, amp_b=1.0)
     for phi in (0.4, 1.8):
         assert np.abs(
-            np.array(beam_magnitudes_region2(wide, phi))
-            - np.array(beam_magnitudes_region2(narrow, phi))
+            np.array(beam_intensity_curves(wide, [phi]))
+            - np.array(beam_intensity_curves(narrow, [phi]))
         ).max() < 1e-15
 
 

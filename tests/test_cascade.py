@@ -1,11 +1,10 @@
 """Gated-cascade Monte Carlo against its closed-form counting model."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gralab.cascade import (
@@ -101,6 +100,14 @@ def test_nonfinite_or_nonpositive_inputs_raise_config_error(name, value):
         kwargs["target_gates"] = None
     with pytest.raises(ConfigError):
         _config(**kwargs)
+
+
+@given(n_omega=st.sampled_from([math.nan, math.inf, -math.inf, -0.1]))
+@example(n_omega=math.nan)
+@example(n_omega=math.inf)
+def test_g2_analytic_rejects_nonfinite_or_negative_rate(n_omega):
+    with pytest.raises(ValueError, match="Nw"):
+        g2_analytic(n_omega, 0.9)
 
 
 def test_simulation_deterministic():

@@ -61,6 +61,13 @@ def test_bad_state_spec_exits_two(tmp_path):
     assert exc.value.code == 2
 
 
+def test_nonfinite_coherent_amplitude_exits_two(tmp_path):
+    for spec in ("coherent:nan", "coherent:inf", "coherent:1+nanj"):
+        with pytest.raises(SystemExit) as exc:
+            main(["--out-dir", str(tmp_path), "g2", spec])
+        assert exc.value.code == 2
+
+
 def test_nonpositive_gates_exit_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["--out-dir", str(tmp_path), "cascade", "--gates", "0"])
@@ -225,6 +232,12 @@ def test_photodetect_dark_phase(tmp_path, capsys):
     assert selection["amplitude_vanishes"]
     assert selection["nonzero_count"] == 0
     assert "no absorption" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("time", ["nan", "inf"])
+def test_photodetect_nonfinite_time_exits_one(tmp_path, capsys, time):
+    assert main(["--out-dir", str(tmp_path), "photodetect", "--time", time]) == 1
+    assert "error: exposure time must be nonnegative and finite" in capsys.readouterr().err
 
 
 def test_out_dir_environment_fallback(tmp_path, monkeypatch):

@@ -5,6 +5,8 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from gralab.fock import (
     BeamSplitter,
@@ -26,7 +28,7 @@ from gralab.fock import (
     split_photons,
 )
 
-BALANCED = BeamSplitter.balanced()
+BALANCED = BeamSplitter()
 
 
 def test_balanced_splitter():
@@ -47,6 +49,25 @@ def test_splitter_validation():
         BeamSplitter(t=1.2, r=0.0)
     with pytest.raises(ValueError):
         BeamSplitter.from_transmittance(1.5)
+
+
+NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@given(part=st.sampled_from([1.0, 1j]), value=NONFINITE)
+@example(part=1.0, value=math.nan)
+@example(part=1j, value=math.inf)
+def test_coherent_state_rejects_nonfinite_amplitude(part, value):
+    with pytest.raises(ValueError, match="finite"):
+        CoherentState(0.5 + part * value)
+
+
+@given(value=NONFINITE)
+@example(value=math.nan)
+@example(value=math.inf)
+def test_splitter_rejects_nonfinite_reflection_phase(value):
+    with pytest.raises(ValueError, match="finite"):
+        BeamSplitter(reflection_phase=value)
 
 
 def test_state_validation():
@@ -144,7 +165,8 @@ def test_two_photon_amplitudes():
 
 def test_split_photons_conserves_photon_number():
     rng = np.random.default_rng(17)
-    for n in (1, 2, 5, 9):
+    # n! overflows a float from n = 171 on; the normalized ladder never forms it.
+    for n in (1, 2, 5, 9, 171):
         bs = BeamSplitter.from_transmittance(rng.uniform(0.1, 0.9))
         out = split_photons(n, bs, n_max=n)
         exp_t, exp_r, _ = out.arm_expectations()
@@ -241,6 +263,8 @@ def test_oracle_matches_closed_forms():
         alpha = rng.uniform(0.3, 1.5) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
         assert np.abs(oracle_g2(CoherentState(alpha), BALANCED) - 1.0) < 1e-8
         assert np.abs(oracle_g2(ChaoticState(rng.uniform(0.1, 0.5)), BALANCED) - 2.0) < 1e-8
+    # Past n = 170, where n! overflows a float.
+    assert np.abs(oracle_g2(NumberState(171)) - 170.0 / 171.0) < 1e-12
 
 
 def test_oracle_independent_of_reflection_phase():

@@ -96,6 +96,16 @@ def test_resonance_factor_rejects_negative_time():
         resonance_factor(1.0, -0.1)
 
 
+@given(value=st.sampled_from([math.nan, math.inf, -math.inf]))
+@example(value=math.nan)
+@example(value=math.inf)
+def test_nonfinite_exposure_time_rejected(value):
+    with pytest.raises(ValueError, match="exposure time"):
+        resonance_factor(1.0, value)
+    with pytest.raises(ValueError, match="exposure time"):
+        eta(HYDROGEN, np.linspace(0.0, 3.0, 5), value)
+
+
 def test_zero_exposure_gives_zero_amplitude():
     assert np.abs(eta(HYDROGEN, 1.0, 0.0)) == 0.0
 
