@@ -135,7 +135,16 @@ def _weights(phi: float | None) -> tuple[float, float]:
     (1 + cos phi, 1 - cos phi) for beams c and d of the recombined one."""
     if phi is None:
         return 1.0, 1.0
+    if not math.isfinite(phi):
+        raise ValueError("interferometer phase must be finite")
     return 1.0 + math.cos(phi), 1.0 - math.cos(phi)
+
+
+def _flux(volume: float, hbar: float, c: float) -> float:
+    """hbar c^2 / V; a NaN volume fails the comparison and is rejected."""
+    if not 0.0 < volume < math.inf:
+        raise ValueError("quantization volume must be positive and finite")
+    return hbar * c**2 / volume
 
 
 def mode_frequencies(
@@ -387,8 +396,7 @@ def _frames(pair, weights, x, t, volume, vacuum, reference_pol, hbar, c) -> Beab
     (1, 1) is the divided region, (1 + cos phi, 1 - cos phi) the recombined
     one.  Points x have shape (..., 3) and times t broadcast against x[..., 0].
     """
-    if not 0.0 < volume < math.inf:
-        raise ValueError("quantization volume must be positive and finite")
+    flux = _flux(volume, hbar, c)
     x = np.asarray(x, dtype=float)
     w = np.array(weights)
     rv = math.sqrt(volume)
@@ -400,7 +408,7 @@ def _frames(pair, weights, x, t, volume, vacuum, reference_pol, hbar, c) -> Beab
     e_field = (sin * ((-hbar * c / (2.0 * rv)) * w / pair._amp)) @ pair._pol
     b_field = (sin * ((-2.0 / rv) * pair._amp)) @ pair._curl
     # The oscillating factor (1 - cos 2 theta) / 2 of each beam, as sin^2 theta.
-    intensity = (sin**2 * ((hbar * c**2 / volume) * w)) @ pair._k
+    intensity = (sin**2 * (flux * w)) @ pair._k
     if vacuum is not None:
         # Static standing waves: u = 2 Re(q e^(i k.x)) pol, v = curl u, and
         # the cross term hbar c^2 (ref x v) weighted by the beams' sin theta.
@@ -410,7 +418,7 @@ def _frames(pair, weights, x, t, volume, vacuum, reference_pol, hbar, c) -> Beab
         b_field = b_field + v / rv
         cross = pair._pol_a_cross if reference_pol is None else _cross_matrix(reference_pol)
         g = (sin @ w)[..., None]
-        intensity = intensity - (hbar * c**2 / volume) * g * (v @ cross)
+        intensity = intensity - flux * g * (v @ cross)
     return BeableFrame(x, t, a_field, e_field, b_field, intensity)
 
 
@@ -473,7 +481,7 @@ def average_intensity(
     cross terms average to zero, so the result is amplitude-independent.
     """
     w_a, w_b = _weights(phi)
-    return hbar * c**2 / (2.0 * volume) * (pair.k_a * w_a + pair.k_b * w_b)
+    return _flux(volume, hbar, c) / 2.0 * (pair.k_a * w_a + pair.k_b * w_b)
 
 
 def beam_intensity_curves(
@@ -482,7 +490,7 @@ def beam_intensity_curves(
     """Averaged intensity magnitudes (hbar c^2 / 2V) k0 (1 +- cos phi) along
     the recombined beams c and d, across a phase sweep."""
     cos = np.cos(np.asarray(phis, dtype=float))
-    scale = hbar * c**2 / (2.0 * volume) * pair.k0
+    scale = _flux(volume, hbar, c) / 2.0 * pair.k0
     return scale * (1.0 + cos), scale * (1.0 - cos)
 
 

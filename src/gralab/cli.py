@@ -93,7 +93,8 @@ def _write_table(out_dir: Path, name: str, fmt: str, header: list[str], rows) ->
 
 
 def _write_manifest(
-    out_dir: Path, subcommand: str, config: dict, seed: int, outputs: list[Path], t0: float
+    out_dir: Path, subcommand: str, config: dict, seed: int, outputs: list[Path], t0: float,
+    counters: dict | None = None,
 ) -> Path:
     payload = {
         "subcommand": subcommand,
@@ -107,6 +108,8 @@ def _write_manifest(
         "outputs": [p.name for p in outputs],
         "duration_seconds": time.monotonic() - t0,
     }
+    if counters is not None:
+        payload["counters"] = counters
     path = out_dir / f"{subcommand}_manifest.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path
@@ -141,13 +144,15 @@ def cmd_g2(args, out_dir: Path) -> int:
     header = ["state", "g2"]
     if args.oracle:
         header += ["oracle", "abs_diff"]
-    rows = []
+    rows, oracle_runs = [], []
     for state in args.states:
         value = fock.g2(state, bs)
         row = [_describe_state(state), value]
         if args.oracle:
-            check = fock.oracle_g2(state, bs, n_max=args.n_max)
+            n_max, _, tail = fock.photon_weights(state, args.n_max)
+            check = fock.oracle_g2(state, bs, n_max=n_max)
             row += [check, abs(check - value)]
+            oracle_runs.append({"state": row[0], "n_max": n_max, "tail": tail})
         rows.append(row)
     for row in rows:
         print("  ".join(_format_cell(v) if not isinstance(v, str) else v for v in row))
@@ -158,7 +163,8 @@ def cmd_g2(args, out_dir: Path) -> int:
         "oracle": bool(args.oracle),
         "n_max": args.n_max,
     }
-    _write_manifest(out_dir, "g2", config, args.seed, [table], t0)
+    counters = {"oracle": oracle_runs} if args.oracle else None
+    _write_manifest(out_dir, "g2", config, args.seed, [table], t0, counters)
     return 0
 
 
@@ -583,7 +589,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("g2", help="closed-form coincidence ratios, optionally cross-checked")
     p.add_argument("states", type=_state_spec, nargs="+", metavar="KIND:VALUE")
     p.add_argument("--t2", type=float, default=0.5, help="splitter transmittance t^2")
-    p.add_argument("--oracle", action="store_true", help="cross-check against the matrix oracle")
+    p.add_argument("--oracle", action="store_true", help="cross-check against the Fock oracle")
     p.add_argument("--n-max", type=_int_at_least(1), default=None, help="oracle cutoff override")
     p.set_defaults(func=cmd_g2)
 

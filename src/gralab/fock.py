@@ -3,13 +3,17 @@
 One input mode carrying a number, coherent, or chaotic (thermal) state meets
 a lossless beam splitter and the two output arms are read out in coincidence.
 Closed-form expectation values and the normalized coincidence ratio g2 are
-provided alongside a brute-force oracle that builds the two-arm output state
-by repeated application of creation-operator matrices and evaluates the same
-expectations from its amplitudes.
+provided alongside a brute-force oracle.  The oracle builds the two-arm
+output of k input photons by k applications of the splitter's creation
+operator to the vacuum, stores it as one rung vector of k + 1 amplitudes on
+|k-j>_t |j>_r (photon number is conserved, so no rung reaches the cutoff),
+and evaluates the same expectations from the amplitudes, each rung weighted
+by the input's photon-number distribution as it is built.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Union
@@ -178,76 +182,43 @@ class TwoModeFockSpace:
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
 
-    def arm_expectations(self) -> tuple[float, float, float]:
-        """(<n_t>, <n_r>, <n_t n_r>); the diagonal number operators scale
-        rows and columns instead of entering as dense matrix products."""
-        n = np.arange(float(self.n_max + 1))
-        psi = self.amplitudes
-        n_t_psi = n[:, None] * psi
-        exp_t = np.vdot(psi, n_t_psi).real
-        exp_r = np.vdot(psi, psi * n).real
-        exp_c = np.vdot(psi, n_t_psi * n).real
-        return exp_t, exp_r, exp_c
 
-
-@dataclass
-class TwoModeMixture:
-    """Statistical mixture of pure two-arm states with fixed weights.
-
-    The weights are the untruncated distribution evaluated on the retained
-    photon numbers; any truncated tail is reported, not renormalized away.
+def _rungs(bs: BeamSplitter, top: int):
+    """Yield the splitter outputs of |0>, |1>, .. |top> on one input port as
+    rung vectors: one normalized step (t b_t+ + e^{i phase} r b_r+) / sqrt(k)
+    per photon, done as two sqrt-scaled, shifted adds, so no n! is formed.
+    The yielded view is overwritten by the next step.
     """
-
-    weights: np.ndarray
-    components: list[TwoModeFockSpace]
-    tail: float
-
-    def __post_init__(self) -> None:
-        self.weights = np.asarray(self.weights, dtype=float)
-        if len(self.weights) != len(self.components):
-            raise ValueError("one weight per component required")
-
-    def arm_expectations(self) -> tuple[float, float, float]:
-        exp_t = exp_r = exp_c = 0.0
-        for w, comp in zip(self.weights, self.components):
-            et, er, ec = comp.arm_expectations()
-            exp_t += w * et
-            exp_r += w * er
-            exp_c += w * ec
-        return exp_t, exp_r, exp_c
-
-
-def _ladder(bs: BeamSplitter, n_max: int, n: int):
-    """Yield the splitter outputs of |0>, |1>, .. |n> on one input port.
-
-    Each rung applies the combined creation operator t b_t+ + e^{i phase}
-    r b_r+ to the previous one as matrix products, with the normalization
-    1/sqrt(k) of rung k folded into the two scalar coefficients, so every
-    rung is a unit vector and no n! is formed.
-    """
-    create = creation_matrix(n_max)
-    into_r = np.exp(1j * bs.reflection_phase) * bs.r
-    psi = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    psi[0, 0] = 1.0
-    yield psi
-    for k in range(1, n + 1):
-        norm = 1.0 / math.sqrt(k)
-        psi = (bs.t * norm) * (create @ psi) + (into_r * norm) * (psi @ create.T)
-        yield psi
+    root = np.sqrt(np.arange(top + 1.0))
+    # Amplitude j of rung k gains sqrt(k-j) = into_t[top-k+j] / t through b_t+
+    # and sqrt(j) = into_r[j] / (e^{i phase} r) through b_r+.
+    into_t = bs.t * root[::-1]
+    into_r = (cmath.exp(1j * bs.reflection_phase) * bs.r) * root
+    # Rung k sits at buf[1 : k+2].  Building it reads the pad buf[0] and
+    # buf[k+1] past rung k-1, and both meet a zero factor.
+    old, new, term = (np.zeros(top + 2, dtype=complex) for _ in range(3))
+    old[1] = 1.0
+    yield old[1:2]
+    for k in range(1, top + 1):
+        out, part = new[1 : k + 2], term[: k + 1]
+        np.multiply(old[1 : k + 2], into_t[top - k :], out=part)
+        np.multiply(old[: k + 1], into_r[: k + 1], out=out)
+        np.add(out, part, out=out)
+        np.multiply(out, 1.0 / math.sqrt(k), out=out)
+        old, new = new, old
+        yield out
 
 
 def split_photons(n: int, bs: BeamSplitter, n_max: int | None = None) -> TwoModeFockSpace:
-    """Send |n> through the splitter: (t b_t+ + e^{i phase} r b_r+)^n / sqrt(n!)
-    applied to the two-arm vacuum, one normalized creation step per photon."""
-    if n < 0:
-        raise ValueError("photon number must be nonnegative")
-    if n_max is None:
-        n_max = n
-    if n_max < n:
-        raise TruncationError(f"cutoff {n_max} cannot hold {n} photons")
-    for psi in _ladder(bs, n_max, n):
+    """Send |n> through the splitter: rung n of the creation ladder, scattered
+    onto the anti-diagonal i + j = n of the two-arm grid."""
+    n_max = photon_weights(NumberState(n), n_max)[0]
+    for rung in _rungs(bs, n):
         pass
-    return TwoModeFockSpace(n_max=n_max, amplitudes=psi)
+    amplitudes = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    j = np.arange(n + 1)
+    amplitudes[n - j, j] = rung
+    return TwoModeFockSpace(n_max=n_max, amplitudes=amplitudes)
 
 
 def default_cutoff(state: InputState, leakage_tol: float = 1e-12) -> int:
@@ -289,42 +260,62 @@ def poisson_weights(mean: float, n_max: int) -> tuple[np.ndarray, float]:
     return weights / total, math.fsum(terms[cut:]) / total
 
 
-def oracle_output_state(
-    state: InputState,
-    bs: BeamSplitter,
-    n_max: int | None = None,
-    leakage_tol: float = 1e-12,
-) -> TwoModeFockSpace | TwoModeMixture:
-    """Two-arm output state built by brute-force operator application.
+def photon_weights(
+    state: InputState, n_max: int | None = None, leakage_tol: float = 1e-12
+) -> tuple[int, np.ndarray, float]:
+    """The oracle's cutoff, the input's photon-number weights on 0 .. n_max,
+    and the untruncated weight beyond the cutoff (reported, not renormalized).
 
-    Number states give a pure state; coherent and chaotic inputs give a
-    mixture over photon number with Poisson and geometric weights.  The
-    component states are generated incrementally, one creation-operator
-    application per photon.  Raises TruncationError when the untruncated
-    weight beyond the cutoff exceeds the leakage tolerance.
+    Raises TruncationError when the cutoff cannot hold a number state or
+    the tail exceeds the leakage tolerance.
     """
-    if isinstance(state, NumberState):
-        return split_photons(state.n, bs, n_max)
-
     if n_max is None:
         n_max = default_cutoff(state, leakage_tol)
-
-    if isinstance(state, CoherentState):
+    if isinstance(state, NumberState):
+        if n_max < state.n:
+            raise TruncationError(f"cutoff {n_max} cannot hold {state.n} photons")
+        weights, tail = np.zeros(n_max + 1), 0.0
+        weights[state.n] = 1.0
+    elif isinstance(state, CoherentState):
         weights, tail = poisson_weights(state.mean_photons, n_max)
     elif isinstance(state, ChaoticState):
-        ns = np.arange(n_max + 1)
-        weights = (1.0 - state.u) * state.u**ns
+        weights = (1.0 - state.u) * state.u ** np.arange(n_max + 1)
         tail = float(state.u ** (n_max + 1))
     else:
         raise TypeError(f"unsupported state type: {type(state).__name__}")
-
     if tail > leakage_tol:
         raise TruncationError(
             f"weight {tail:.3e} beyond cutoff {n_max} exceeds tolerance {leakage_tol:.1e}"
         )
+    return n_max, weights, tail
 
-    components = [TwoModeFockSpace(n_max, psi) for psi in _ladder(bs, n_max, n_max)]
-    return TwoModeMixture(weights=weights, components=components, tail=tail)
+
+def oracle_moments(
+    state: InputState, bs: BeamSplitter, n_max: int | None = None, leakage_tol: float = 1e-12
+) -> tuple[float, float, float]:
+    """(<n_t>, <n_r>, <n_t n_r>) of the brute-force two-arm output state.
+
+    The output mixes the rungs k = 0 .. n_max with the weights of
+    photon_weights (a number state is the single rung n); each rung adds
+    its moments as it is built and is not kept.
+    """
+    weights = photon_weights(state, n_max, leakage_tol)[1].tolist()
+    top = state.n if isinstance(state, NumberState) else len(weights) - 1
+    # Rows 1, j, j^2 (twice each, for a rung's real and imaginary parts)
+    # give sum p, sum j p, sum j^2 p over its probabilities p; with them
+    # <n_t> = k sum p - sum j p and <n_t n_r> = k sum j p - sum j^2 p.
+    powers = np.arange(top + 1.0).repeat(2) ** np.arange(3.0)[:, None]
+    probs, sums = np.empty(2 * (top + 1)), np.empty(3)
+    exp_t = exp_r = exp_c = 0.0
+    for k, rung in enumerate(_rungs(bs, top)):
+        weight = weights[k]
+        if weight:
+            p = np.square(rung.view(float), out=probs[: 2 * k + 2])
+            total, mean_r, square_r = np.matmul(powers[:, : 2 * k + 2], p, out=sums).tolist()
+            exp_t += weight * (k * total - mean_r)
+            exp_r += weight * mean_r
+            exp_c += weight * (k * mean_r - square_r)
+    return exp_t, exp_r, exp_c
 
 
 def oracle_g2(
@@ -336,8 +327,7 @@ def oracle_g2(
     """Coincidence ratio evaluated from the brute-force output state."""
     if bs is None:
         bs = BeamSplitter()
-    out = oracle_output_state(state, bs, n_max=n_max, leakage_tol=leakage_tol)
-    exp_t, exp_r, exp_c = out.arm_expectations()
+    exp_t, exp_r, exp_c = oracle_moments(state, bs, n_max=n_max, leakage_tol=leakage_tol)
     if exp_t <= 0.0 or exp_r <= 0.0:
         raise DegenerateState("coincidence ratio undefined for a dark arm or empty input")
     return exp_c / (exp_t * exp_r)

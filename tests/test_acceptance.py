@@ -64,7 +64,7 @@ def test_criterion_2_oracle_equivalence(capsys):
         check(fock.CoherentState(alpha), 40, f"coherent alpha={alpha:.3f}")
     for u in (0.3, 0.5, 0.7):
         check(fock.ChaoticState(u), 100, f"chaotic u={u}")
-    _report(capsys, 2, "matrix-oracle equivalence", failures, time.perf_counter() - t0, 30.0)
+    _report(capsys, 2, "Fock-oracle equivalence", failures, time.perf_counter() - t0, 30.0)
 
 
 def test_criterion_3_classical_bound(capsys):

@@ -110,12 +110,27 @@ def test_volume_and_end_time_must_be_positive_and_finite(value):
         lambda: beables_region1(RIGID, x, 0.5, volume=value),
         lambda: beables_region2(RIGID, 0.4, x, 0.5, volume=value),
         lambda: frame_consistency_region2(RIGID, 0.4, x, 0.5, volume=value),
+        lambda: average_intensity(RIGID, 0.4, volume=value),
+        lambda: beam_intensity_curves(RIGID, [0.0, 1.0], volume=value),
     ):
         with pytest.raises(ValueError, match="volume"):
             call()
     if value != 0.0:  # a zero-length trajectory is allowed
         with pytest.raises(ValueError, match="end time"):
             integrate_region1(RIGID, value)
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_nonfinite_phase_rejected(phi):
+    x = [0.1, 0.2, 0.3]
+    for call in (
+        lambda: mode_frequencies(RIGID, phi=phi),
+        lambda: average_intensity(RIGID, phi),
+        lambda: beables_region2(RIGID, phi, x, 0.5),
+        lambda: frame_consistency_region2(RIGID, phi, x, 0.5),
+    ):
+        with pytest.raises(ValueError, match="phase must be finite"):
+            call()
 
 
 def test_single_frequency_detection():

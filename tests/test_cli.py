@@ -10,6 +10,7 @@ import pytest
 
 from gralab.beables import ModePair, beables_region1
 from gralab.cli import main
+from gralab.fock import ChaoticState, default_cutoff
 
 FLOAT_CELL = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,}$")
 FIELD_NAMES = ("vector_potential", "electric_field", "magnetic_field", "intensity")
@@ -35,6 +36,7 @@ def test_g2_table_and_manifest(tmp_path):
     assert "g2.csv" in manifest["outputs"]
     assert set(manifest["engine_versions"]) == {"gralab", "numpy", "python"}
     assert manifest["duration_seconds"] >= 0.0
+    assert "counters" not in manifest
 
 
 def test_g2_oracle_column(tmp_path):
@@ -43,6 +45,13 @@ def test_g2_oracle_column(tmp_path):
     assert header == ["state", "g2", "oracle", "abs_diff"]
     for row in rows:
         assert float(row[3]) < 1e-8
+    manifest = json.loads((tmp_path / "g2_manifest.json").read_text())
+    cutoff = default_cutoff(ChaoticState(0.4))
+    assert manifest["counters"]["oracle"] == [
+        {"state": "number:2", "n_max": 2, "tail": 0.0},
+        {"state": "chaotic:0.4", "n_max": cutoff, "tail": 0.4 ** (cutoff + 1)},
+    ]
+    assert 0.0 < manifest["counters"]["oracle"][1]["tail"] <= 1e-12
 
 
 def test_json_table_format(tmp_path):
@@ -205,6 +214,22 @@ def test_beables_region2_fields_with_vacuum(tmp_path, capsys):
     assert "FAIL" not in capsys.readouterr().out
     _, rows = _read_csv(tmp_path / "fields.csv")
     assert len(rows) == 17
+
+
+@pytest.mark.parametrize("phi", ["nan", "inf", "-inf"])
+def test_beables_nonfinite_phase_exits_one(tmp_path, capsys, phi):
+    argv = ["--out-dir", str(tmp_path), "beables", "--region", "2", f"--phi={phi}"]
+    assert main(argv) == 1
+    assert "error: interferometer phase must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "fields.csv").exists()
+
+
+@pytest.mark.parametrize("volume", ["nan", "inf", "0", "-1"])
+def test_beables_sweep_bad_volume_exits_one(tmp_path, capsys, volume):
+    argv = ["--out-dir", str(tmp_path), "beables", "--region", "2", "--sweep", f"--volume={volume}"]
+    assert main(argv) == 1
+    assert "error: quantization volume must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "visibility.csv").exists()
 
 
 def test_photodetect_outputs(tmp_path, capsys):

@@ -1,11 +1,12 @@
-"""Splitter statistics: closed forms against the matrix oracle."""
+"""Splitter statistics: closed forms against the rung-vector oracle, and the
+oracle against a dense creation-matrix reference."""
 
 import math
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gralab.fock import (
@@ -15,7 +16,6 @@ from gralab.fock import (
     DegenerateState,
     NumberState,
     TruncationError,
-    TwoModeMixture,
     creation_matrix,
     default_cutoff,
     expect_coincidence,
@@ -23,7 +23,8 @@ from gralab.fock import (
     expect_transmitted,
     g2,
     oracle_g2,
-    oracle_output_state,
+    oracle_moments,
+    photon_weights,
     poisson_weights,
     split_photons,
 )
@@ -163,13 +164,20 @@ def test_two_photon_amplitudes():
     assert np.abs(out.norm() - 1.0) < 1e-10
 
 
+def _grid_moments(psi):
+    """(<n_t>, <n_r>, <n_t n_r>) of a dense grid psi[i, j] on |i>_t |j>_r."""
+    n = np.arange(float(len(psi)))
+    prob = np.abs(psi) ** 2
+    return n @ prob.sum(axis=1), n @ prob.sum(axis=0), n @ prob @ n
+
+
 def test_split_photons_conserves_photon_number():
     rng = np.random.default_rng(17)
     # n! overflows a float from n = 171 on; the normalized ladder never forms it.
     for n in (1, 2, 5, 9, 171):
         bs = BeamSplitter.from_transmittance(rng.uniform(0.1, 0.9))
         out = split_photons(n, bs, n_max=n)
-        exp_t, exp_r, _ = out.arm_expectations()
+        exp_t, exp_r, _ = _grid_moments(out.amplitudes)
         assert np.abs(out.norm() - 1.0) < 1e-10
         assert np.abs(exp_t + exp_r - n) < 1e-9
 
@@ -180,17 +188,82 @@ def test_split_photons_truncation():
 
 
 def test_mixture_weights_keep_tail():
-    out = oracle_output_state(ChaoticState(0.5), BALANCED)
-    assert isinstance(out, TwoModeMixture)
-    assert np.abs(out.weights.sum() + out.tail - 1.0) < 1e-14
-    assert out.tail <= 1e-12
+    n_max, weights, tail = photon_weights(ChaoticState(0.5))
+    assert n_max == default_cutoff(ChaoticState(0.5))
+    assert len(weights) == n_max + 1
+    assert np.abs(weights.sum() + tail - 1.0) < 1e-14
+    assert tail <= 1e-12
 
 
 def test_oracle_cutoff_too_small():
     with pytest.raises(TruncationError):
-        oracle_output_state(ChaoticState(0.7), BALANCED, n_max=10)
+        oracle_moments(ChaoticState(0.7), BALANCED, n_max=10)
     with pytest.raises(TruncationError):
-        oracle_output_state(CoherentState(2.0), BALANCED, n_max=6)
+        oracle_moments(CoherentState(2.0), BALANCED, n_max=6)
+
+
+def test_number_state_above_cutoff():
+    with pytest.raises(TruncationError):
+        photon_weights(NumberState(3), n_max=2)
+    with pytest.raises(TruncationError):
+        oracle_g2(NumberState(3), BALANCED, n_max=2)
+
+
+def _dense_ladder(bs, n_max, n):
+    """Test-only reference: the splitter outputs of |0> .. |n> as dense
+    (n_max+1)^2 grids, each rung one creation-matrix product per arm."""
+    create = creation_matrix(n_max)
+    into_r = np.exp(1j * bs.reflection_phase) * bs.r
+    psi = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    psi[0, 0] = 1.0
+    yield psi
+    for k in range(1, n + 1):
+        norm = 1.0 / math.sqrt(k)
+        psi = (bs.t * norm) * (create @ psi) + (into_r * norm) * (psi @ create.T)
+        yield psi
+
+
+def _dense_moments(state, bs, n_max):
+    """(<n_t>, <n_r>, <n_t n_r>) of the dense reference, weighted per rung."""
+    n_max, weights, _ = photon_weights(state, n_max)
+    moments = np.zeros(3)
+    for weight, psi in zip(weights, _dense_ladder(bs, n_max, n_max)):
+        moments += weight * np.array(_grid_moments(psi))
+    return moments
+
+
+STATES = st.one_of(
+    st.integers(0, 24).map(NumberState),
+    st.floats(0.1, 2.0).flatmap(
+        lambda amp: st.floats(0.0, 2.0 * math.pi).map(
+            lambda arg: CoherentState(amp * complex(math.cos(arg), math.sin(arg)))
+        )
+    ),
+    st.floats(0.05, 0.45).map(ChaoticState),
+)
+
+
+@settings(deadline=None)
+@given(
+    state=STATES,
+    headroom=st.integers(0, 6),
+    t2=st.floats(0.0, 1.0),
+    phase=st.floats(-2.0 * math.pi, 2.0 * math.pi),
+)
+@example(state=NumberState(1), headroom=0, t2=0.5, phase=math.pi / 2.0)
+@example(state=NumberState(7), headroom=5, t2=0.3, phase=1.0)
+@example(state=ChaoticState(0.45), headroom=0, t2=0.9, phase=-2.0)
+def test_oracle_matches_dense_reference(state, headroom, t2, phase):
+    bs = BeamSplitter(t=math.sqrt(t2), r=math.sqrt(1.0 - t2), reflection_phase=phase)
+    n_max = default_cutoff(state) + headroom
+    if isinstance(state, NumberState):
+        *_, psi = _dense_ladder(bs, n_max, state.n)
+        out = split_photons(state.n, bs, n_max=n_max)
+        assert out.amplitudes.shape == psi.shape
+        assert np.max(np.abs(out.amplitudes - psi)) < 1e-12
+    moments = oracle_moments(state, bs, n_max=n_max)
+    reference = _dense_moments(state, bs, n_max)
+    assert np.all(np.abs(np.array(moments) - reference) <= 1e-12 * np.maximum(1.0, reference))
 
 
 def _exact_poisson(mean, n_max):
