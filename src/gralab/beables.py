@@ -235,23 +235,13 @@ def single_frequency_solution(pair: ModePair, times, hbar: float = 1.0, c: float
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModeTrajectory:
-    """Sampled divided-region coordinates q_a(t), q_b(t) with their frequencies."""
+    """Sampled divided-region coordinates q_a(t), q_b(t), aligned with the times."""
 
-    pair: ModePair
     times: np.ndarray
     q_a: np.ndarray
     q_b: np.ndarray
-    omega_a: float
-    omega_b: float
-
-    def __post_init__(self) -> None:
-        self.times = np.asarray(self.times, dtype=float)
-        self.q_a = np.asarray(self.q_a, dtype=complex)
-        self.q_b = np.asarray(self.q_b, dtype=complex)
-        if not (len(self.times) == len(self.q_a) == len(self.q_b)):
-            raise ValueError("times and coordinate samples must align")
 
 
 def integrate_region1(
@@ -298,14 +288,7 @@ def integrate_region1(
         path_a.append(y_a)
         path_b.append(y_b)
 
-    return ModeTrajectory(
-        pair=pair,
-        times=np.linspace(0.0, t_end, n + 1),
-        q_a=np.conj(path_a),
-        q_b=np.conj(path_b),
-        omega_a=omega_a,
-        omega_b=omega_b,
-    )
+    return ModeTrajectory(np.linspace(0.0, t_end, n + 1), np.conj(path_a), np.conj(path_b))
 
 
 def fitted_frequency(trajectory: ModeTrajectory) -> float:
@@ -378,11 +361,9 @@ class VacuumModes:
 class BeableFrame:
     """Local field beables at a spacetime point, or at an array of them.
 
-    Each field has the shape of the points x, (..., 3); t is as given.
+    Each field has the shape of the points, (..., 3).
     """
 
-    x: np.ndarray
-    t: float | np.ndarray
     vector_potential: np.ndarray
     electric_field: np.ndarray
     magnetic_field: np.ndarray
@@ -419,7 +400,7 @@ def _frames(pair, weights, x, t, volume, vacuum, reference_pol, hbar, c) -> Beab
         cross = pair._pol_a_cross if reference_pol is None else _cross_matrix(reference_pol)
         g = (sin @ w)[..., None]
         intensity = intensity - flux * g * (v @ cross)
-    return BeableFrame(x, t, a_field, e_field, b_field, intensity)
+    return BeableFrame(a_field, e_field, b_field, intensity)
 
 
 def beables_region1(

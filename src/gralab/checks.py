@@ -1,0 +1,82 @@
+"""Physics checks as records: every --check bound and probe point in one place.
+
+Each builder returns a list of Check records that the CLI prints and writes
+to its manifest and that the acceptance tests assert on.  The beables are
+called through the module attribute, so a rebinding of gralab.beables
+functions (tracing, test doubles) reaches these calls too.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import beables
+
+
+@dataclass(frozen=True)
+class Check:
+    """One outcome.  It passes only when its value lies below its bound, so a
+    NaN fails; the surviving sector count alone must equal its bound of 1."""
+
+    label: str
+    value: float
+    bound: float
+    passed: bool
+
+
+def _below(label: str, value: float, bound: float) -> Check:
+    return Check(label, float(value), float(bound), bool(value < bound))
+
+
+_PROBE_X = (0.3, 0.2, 0.1)
+# Recombined-region probe time; the divided region probes at 0.4 of a period.
+RECOMBINED_T = 0.7
+
+
+def frames(pair, phi, t, volume, vacuum) -> list[Check]:
+    """E = -(1/c) dA/dt and B = curl A at the probe point; phi None is region I."""
+    if phi is None:
+        e_err, b_err = beables.frame_consistency_region1(pair, _PROBE_X, t, volume, vacuum)
+    else:
+        e_err, b_err = beables.frame_consistency_region2(pair, phi, _PROBE_X, t, volume, vacuum)
+    return [_below("E vs -(1/c) dA/dt", e_err, 1e-6), _below("B vs curl A", b_err, 1e-6)]
+
+
+def region1(pair, volume, vacuum) -> list[Check]:
+    """Wave-equation residual, frame consistency and energy drift over a cycle."""
+    period = 2.0 * math.pi / max(beables.mode_frequencies(pair))
+    times = (0.0, 0.3 * period, 0.6 * period)
+    residual = np.max([beables.wave_equation_residual(pair, t) for t in times])
+    energies = [beables.total_energy(pair, t) for t in np.linspace(0.0, period, 5)]
+    return [
+        _below("wave-equation residual", residual, 1e-4),
+        *frames(pair, None, 0.4 * period, volume, vacuum),
+        _below("energy drift over a cycle", np.ptp(energies) / abs(energies[0]), 1e-5),
+    ]
+
+
+def fringes(i_c, i_d) -> list[Check]:
+    """Unit visibility, extinctions and a flat sum over a sweep of phi from 0
+    across [0, 2 pi) with an even number of samples, so pi is the middle one."""
+    peak = float(max(i_c.max(), i_d.max()))
+    total = i_c + i_d
+    return [
+        _below("beam c visibility - 1", abs(beables.visibility(i_c) - 1.0), 1e-9),
+        _below("beam d visibility - 1", abs(beables.visibility(i_d) - 1.0), 1e-9),
+        _below("beam d at phi=0", i_d[0], 1e-12 * peak),
+        _below("beam c at phi=pi", i_c[len(i_c) // 2], 1e-12 * peak),
+        _below("summed intensity spread", total.max() - total.min(), 1e-10 * peak),
+    ]
+
+
+def absorption(report) -> list[Check]:
+    """No non-vacuum overlap, and exactly one surviving field sector unless
+    the two path amplitudes cancel and nothing is absorbed."""
+    records = [_below("largest non-vacuum overlap", report.largest_other, 1e-12)]
+    if not report.amplitude_vanishes:
+        count = report.nonzero_count
+        records.append(Check("surviving field sectors", float(count), 1.0, count == 1))
+    return records

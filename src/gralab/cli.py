@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from . import beables, cascade, classical, fock, photodetect, svgplot
+from . import beables, cascade, checks, classical, fock, photodetect, svgplot
 
 _DEFAULT_SWEEP = (0.01, 0.05, 0.1, 0.3, 0.9, 3.0)
 
@@ -94,7 +94,7 @@ def _write_table(out_dir: Path, name: str, fmt: str, header: list[str], rows) ->
 
 def _write_manifest(
     out_dir: Path, subcommand: str, config: dict, seed: int, outputs: list[Path], t0: float,
-    counters: dict | None = None,
+    counters: dict | None = None, results: list[checks.Check] | None = None,
 ) -> Path:
     payload = {
         "subcommand": subcommand,
@@ -110,6 +110,8 @@ def _write_manifest(
     }
     if counters is not None:
         payload["counters"] = counters
+    if results is not None:
+        payload["checks"] = [asdict(check) for check in results]
     path = out_dir / f"{subcommand}_manifest.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path
@@ -172,6 +174,9 @@ def cmd_classical(args, out_dir: Path) -> int:
     t0 = time.monotonic()
     rng = np.random.Generator(np.random.PCG64(args.seed))
     scale = args.scale
+    # NaN fails the comparison; numpy's samplers would raise their own errors.
+    if not 0.0 <= scale < math.inf:
+        raise ValueError("intensity scale must be nonnegative and finite")
     if args.law == "constant":
         intensities = np.full(args.samples, scale)
     elif args.law == "uniform":
@@ -319,16 +324,6 @@ def _beables_pair(args) -> beables.ModePair:
     )
 
 
-def _field_rows(pair, build, samples: int):
-    """Frames along the diagonal of the two beam directions, from one batched call."""
-    direction = pair.k_a / np.linalg.norm(pair.k_a) + pair.k_b / np.linalg.norm(pair.k_b)
-    direction = direction / np.linalg.norm(direction)
-    s = np.linspace(0.0, 4.0 * math.pi / pair.k0, samples)
-    frame = build(s[:, None] * direction)
-    columns = (frame.vector_potential, frame.electric_field, frame.magnetic_field, frame.intensity)
-    return np.column_stack((s,) + columns).tolist()
-
-
 _FIELD_HEADER = [
     "s",
     "a_x", "a_y", "a_z",
@@ -338,150 +333,12 @@ _FIELD_HEADER = [
 ]
 
 
-def _check_line(ok: bool, label: str, value: float, bound: float) -> bool:
-    tag = "ok" if ok else "FAIL"
-    print(f"[{tag}] {label}: {value:.3e} (bound {bound:.1e})")
-    return ok
-
-
-def _cmd_beables_region1(args, out_dir: Path, pair, vacuum, t0) -> int:
-    outputs = []
-    omega = max(beables.mode_frequencies(pair))
-    t_end = args.periods * 2.0 * math.pi / omega
-    trajectory = beables.integrate_region1(pair, t_end)
-    rows = [
-        [t, q_a.real, q_a.imag, q_b.real, q_b.imag]
-        for t, q_a, q_b in zip(trajectory.times, trajectory.q_a, trajectory.q_b)
-    ]
-    outputs.append(
-        _write_table(
-            out_dir, "trajectory", args.format,
-            ["t", "re_q_a", "im_q_a", "re_q_b", "im_q_b"], rows,
-        )
-    )
-
-    def build(points):
-        return beables.beables_region1(pair, points, 0.0, args.volume, vacuum)
-
-    field_rows = _field_rows(pair, build, args.samples)
-    outputs.append(_write_table(out_dir, "fields", args.format, _FIELD_HEADER, field_rows))
-    svg = out_dir / "fields.svg"
-    s_values = [row[0] for row in field_rows]
-    svgplot.line_plot(
-        svg,
-        [
-            svgplot.Series(x=s_values, y=[row[3] for row in field_rows], label="A_z"),
-            svgplot.Series(x=s_values, y=[row[6] for row in field_rows], label="E_z"),
-            svgplot.Series(
-                x=s_values,
-                y=[math.hypot(row[10], row[11]) for row in field_rows],
-                label="|I|",
-            ),
-        ],
-        title="Divided-region beables along the beam diagonal",
-        xlabel="s",
-        ylabel="field",
-    )
-    outputs.append(svg)
-
-    ok = True
-    if args.check:
-        period = 2.0 * math.pi / omega
-        residual = max(
-            beables.wave_equation_residual(pair, t)
-            for t in (0.0, 0.3 * period, 0.6 * period)
-        )
-        ok &= _check_line(residual < 1e-4, "wave-equation residual", residual, 1e-4)
-        e_err, b_err = beables.frame_consistency_region1(
-            pair, np.array([0.3, 0.2, 0.1]), 0.4 * period, args.volume, vacuum
-        )
-        ok &= _check_line(e_err < 1e-6, "E vs -(1/c) dA/dt", e_err, 1e-6)
-        ok &= _check_line(b_err < 1e-6, "B vs curl A", b_err, 1e-6)
-        energies = [beables.total_energy(pair, t) for t in np.linspace(0.0, period, 5)]
-        drift = (max(energies) - min(energies)) / abs(energies[0])
-        ok &= _check_line(drift < 1e-5, "energy drift over a cycle", drift, 1e-5)
-
-    config = {
-        "region": 1,
-        "amp_a": pair.amp_a,
-        "amp_b": pair.amp_b,
-        "phase_a": pair.phase_a,
-        "phase_b": pair.phase_b,
-        "k0": pair.k0,
-        "volume": args.volume,
-        "periods": args.periods,
-        "samples": args.samples,
-        "vacuum_modes": args.vacuum,
-        "check": bool(args.check),
-    }
-    _write_manifest(out_dir, "beables", config, args.seed, outputs, t0)
-    return 0 if ok else 1
-
-
-def _cmd_beables_region2(args, out_dir: Path, pair, vacuum, t0) -> int:
-    outputs = []
-    ok = True
-    if args.sweep:
-        phis = np.linspace(0.0, 2.0 * math.pi, 72, endpoint=False)
-        i_c, i_d = beables.beam_intensity_curves(pair, phis, args.volume)
-        rows = list(zip(phis, i_c, i_d))
-        outputs.append(
-            _write_table(out_dir, "visibility", args.format, ["phi", "i_c", "i_d"], rows)
-        )
-        svg = out_dir / "visibility.svg"
-        svgplot.line_plot(
-            svg,
-            [
-                svgplot.Series(x=list(phis), y=list(i_c), label="beam c"),
-                svgplot.Series(x=list(phis), y=list(i_d), label="beam d"),
-            ],
-            title="Averaged output intensities",
-            xlabel="phi",
-            ylabel="intensity",
-        )
-        outputs.append(svg)
-        vis_c = beables.visibility(i_c)
-        vis_d = beables.visibility(i_d)
-        print(f"visibility c={vis_c:.12f} d={vis_d:.12f}")
-        if args.check:
-            peak = float(max(i_c.max(), i_d.max()))
-            ok &= _check_line(abs(vis_c - 1.0) < 1e-9, "beam c visibility - 1", abs(vis_c - 1.0), 1e-9)
-            ok &= _check_line(abs(vis_d - 1.0) < 1e-9, "beam d visibility - 1", abs(vis_d - 1.0), 1e-9)
-            d_at_0 = float(i_d[0])
-            c_at_pi = float(i_c[36])
-            ok &= _check_line(d_at_0 < 1e-12 * peak, "beam d at phi=0", d_at_0, 1e-12 * peak)
-            ok &= _check_line(c_at_pi < 1e-12 * peak, "beam c at phi=pi", c_at_pi, 1e-12 * peak)
-            total = i_c + i_d
-            spread = float(total.max() - total.min())
-            ok &= _check_line(spread < 1e-10 * peak, "summed intensity spread", spread, 1e-10 * peak)
-    else:
-
-        def build(points):
-            return beables.beables_region2(pair, args.phi, points, 0.0, args.volume, vacuum)
-
-        field_rows = _field_rows(pair, build, args.samples)
-        outputs.append(_write_table(out_dir, "fields", args.format, _FIELD_HEADER, field_rows))
-        if args.check:
-            e_err, b_err = beables.frame_consistency_region2(
-                pair, args.phi, np.array([0.3, 0.2, 0.1]), 0.7, args.volume, vacuum
-            )
-            ok &= _check_line(e_err < 1e-6, "E vs -(1/c) dA/dt", e_err, 1e-6)
-            ok &= _check_line(b_err < 1e-6, "B vs curl A", b_err, 1e-6)
-
-    config = {
-        "region": 2,
-        "phi": args.phi,
-        "amp_a": pair.amp_a,
-        "amp_b": pair.amp_b,
-        "k0": pair.k0,
-        "volume": args.volume,
-        "sweep": bool(args.sweep),
-        "samples": args.samples,
-        "vacuum_modes": args.vacuum,
-        "check": bool(args.check),
-    }
-    _write_manifest(out_dir, "beables", config, args.seed, outputs, t0)
-    return 0 if ok else 1
+def _report(results: list[checks.Check]) -> bool:
+    """Print one line per check and return whether all of them passed."""
+    for check in results:
+        tag = "ok" if check.passed else "FAIL"
+        print(f"[{tag}] {check.label}: {check.value:.3e} (bound {check.bound:.1e})")
+    return all(check.passed for check in results)
 
 
 def cmd_beables(args, out_dir: Path) -> int:
@@ -500,13 +357,97 @@ def cmd_beables(args, out_dir: Path) -> int:
         raw = np.cross(k_vectors, np.array([0.0, 0.0, 1.0]))
         pols = raw / np.linalg.norm(raw, axis=1, keepdims=True)
         vacuum = beables.VacuumModes.sample_ground_state(k_vectors, pols, rng)
+    config = {
+        "region": args.region,
+        "amp_a": pair.amp_a,
+        "amp_b": pair.amp_b,
+        "k0": pair.k0,
+        "volume": args.volume,
+        "samples": args.samples,
+        "vacuum_modes": args.vacuum,
+        "check": bool(args.check),
+    }
+    outputs, results = [], None
     if args.region == 1:
-        return _cmd_beables_region1(args, out_dir, pair, vacuum, t0)
-    return _cmd_beables_region2(args, out_dir, pair, vacuum, t0)
+        config.update(phase_a=pair.phase_a, phase_b=pair.phase_b, periods=args.periods)
+        omega = max(beables.mode_frequencies(pair))
+        trajectory = beables.integrate_region1(pair, args.periods * 2.0 * math.pi / omega)
+        rows = [
+            [t, q_a.real, q_a.imag, q_b.real, q_b.imag]
+            for t, q_a, q_b in zip(trajectory.times, trajectory.q_a, trajectory.q_b)
+        ]
+        header = ["t", "re_q_a", "im_q_a", "re_q_b", "im_q_b"]
+        outputs.append(_write_table(out_dir, "trajectory", args.format, header, rows))
+    else:
+        config.update(phi=args.phi, sweep=bool(args.sweep))
+
+    if args.region == 2 and args.sweep:
+        phis = np.linspace(0.0, 2.0 * math.pi, 72, endpoint=False)
+        i_c, i_d = beables.beam_intensity_curves(pair, phis, args.volume)
+        rows = list(zip(phis, i_c, i_d))
+        outputs.append(
+            _write_table(out_dir, "visibility", args.format, ["phi", "i_c", "i_d"], rows)
+        )
+        svg = out_dir / "visibility.svg"
+        svgplot.line_plot(
+            svg,
+            [
+                svgplot.Series(x=list(phis), y=list(i_c), label="beam c"),
+                svgplot.Series(x=list(phis), y=list(i_d), label="beam d"),
+            ],
+            title="Averaged output intensities",
+            xlabel="phi",
+            ylabel="intensity",
+        )
+        outputs.append(svg)
+        print(f"visibility c={beables.visibility(i_c):.12f} d={beables.visibility(i_d):.12f}")
+        if args.check:
+            results = checks.fringes(i_c, i_d)
+    else:
+        # Frames along the diagonal of the two beam directions, from one batched call.
+        direction = pair.k_a / np.linalg.norm(pair.k_a) + pair.k_b / np.linalg.norm(pair.k_b)
+        direction = direction / np.linalg.norm(direction)
+        s = np.linspace(0.0, 4.0 * math.pi / pair.k0, args.samples)
+        points = s[:, None] * direction
+        if args.region == 1:
+            frame = beables.beables_region1(pair, points, 0.0, args.volume, vacuum)
+        else:
+            frame = beables.beables_region2(pair, args.phi, points, 0.0, args.volume, vacuum)
+        columns = (frame.vector_potential, frame.electric_field, frame.magnetic_field, frame.intensity)
+        field_rows = np.column_stack((s,) + columns).tolist()
+        outputs.append(_write_table(out_dir, "fields", args.format, _FIELD_HEADER, field_rows))
+        if args.region == 1:
+            svg = out_dir / "fields.svg"
+            svgplot.line_plot(
+                svg,
+                [
+                    svgplot.Series(x=list(s), y=[row[3] for row in field_rows], label="A_z"),
+                    svgplot.Series(x=list(s), y=[row[6] for row in field_rows], label="E_z"),
+                    svgplot.Series(
+                        x=list(s),
+                        y=[math.hypot(row[10], row[11]) for row in field_rows],
+                        label="|I|",
+                    ),
+                ],
+                title="Divided-region beables along the beam diagonal",
+                xlabel="s",
+                ylabel="field",
+            )
+            outputs.append(svg)
+        if args.check and args.region == 1:
+            results = checks.region1(pair, args.volume, vacuum)
+        elif args.check:
+            results = checks.frames(pair, args.phi, checks.RECOMBINED_T, args.volume, vacuum)
+
+    ok = results is None or _report(results)
+    _write_manifest(out_dir, "beables", config, args.seed, outputs, t0, results=results)
+    return 0 if ok else 1
 
 
 def cmd_photodetect(args, out_dir: Path) -> int:
     t0 = time.monotonic()
+    if not 0.0 < args.k_max < math.inf:
+        raise ValueError("spectrum wavenumber range must be positive and finite")
     cfg = photodetect.DetectorAtomConfig.hydrogen(k0=args.k0, phi=args.phi)
     outputs = []
 
@@ -549,18 +490,10 @@ def cmd_photodetect(args, out_dir: Path) -> int:
     selection_path.write_text(json.dumps(selection, indent=2) + "\n", encoding="utf-8")
     outputs.append(selection_path)
 
-    ok = _check_line(
-        report.largest_other < 1e-12, "largest non-vacuum overlap", report.largest_other, 1e-12
-    )
+    results = checks.absorption(report)
+    ok = _report(results)
     if report.amplitude_vanishes:
         print("note: the two path amplitudes cancel at this phase; no absorption")
-    else:
-        ok &= _check_line(
-            report.nonzero_count == 1,
-            "surviving field sectors",
-            float(report.nonzero_count),
-            1.0,
-        )
     print(f"resonant wavenumber k_en = {k_res:g}")
 
     config = {
@@ -571,7 +504,7 @@ def cmd_photodetect(args, out_dir: Path) -> int:
         "samples": args.samples,
         "n_max": args.n_max,
     }
-    _write_manifest(out_dir, "photodetect", config, args.seed, outputs, t0)
+    _write_manifest(out_dir, "photodetect", config, args.seed, outputs, t0, results=results)
     return 0 if ok else 1
 
 

@@ -11,12 +11,13 @@ import math
 from dataclasses import dataclass, field
 from html import escape
 
+_WIDTH, _HEIGHT = 720, 480
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf")
 
 
 @dataclass
 class Series:
-    """One plotted curve: arrays x and y, drawn as a line, points, or both."""
+    """One plotted curve: arrays x and y, drawn as a line or as points."""
 
     x: list
     y: list
@@ -27,8 +28,8 @@ class Series:
     def __post_init__(self) -> None:
         if len(self.x) != len(self.y):
             raise ValueError("x and y must have equal length")
-        if self.mode not in ("line", "points", "both"):
-            raise ValueError("mode must be 'line', 'points', or 'both'")
+        if self.mode not in ("line", "points"):
+            raise ValueError("mode must be 'line' or 'points'")
         if self.yerr is not None and len(self.yerr) != len(self.y):
             raise ValueError("one error bar per sample")
 
@@ -60,8 +61,6 @@ def line_plot(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    width: int = 720,
-    height: int = 480,
     logx: bool = False,
 ) -> str:
     """Write an SVG line plot of the series and return the path."""
@@ -98,7 +97,7 @@ def line_plot(
         y_hi = y_lo + 1.0
 
     ml, mr, mt, mb = 64, 18, 34, 48
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = _WIDTH - ml - mr, _HEIGHT - mt - mb
 
     def px(x: float) -> float:
         value = math.log10(x) if logx else x
@@ -108,13 +107,13 @@ def line_plot(
         return mt + (y_hi - y) / (y_hi - y_lo) * ph
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="12">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
     ]
     if title:
         parts.append(
-            f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
+            f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
             f'font-size="14" fill="#222">{escape(title, quote=False)}</text>'
         )
 
@@ -140,7 +139,7 @@ def line_plot(
     )
     if xlabel:
         parts.append(
-            f'<text x="{ml + pw / 2:.1f}" y="{height - 10}" text-anchor="middle" '
+            f'<text x="{ml + pw / 2:.1f}" y="{_HEIGHT - 10}" text-anchor="middle" '
             f'fill="#222">{escape(xlabel, quote=False)}</text>'
         )
     if ylabel:
@@ -153,7 +152,7 @@ def line_plot(
     for i, s in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
         pts = [(px(float(x)), py(float(y))) for x, y in zip(s.x, s.y)]
-        if s.mode in ("line", "both") and len(pts) > 1:
+        if s.mode == "line" and len(pts) > 1:
             joined = " ".join(f"{x:.2f},{y:.2f}" for x, y in pts)
             parts.append(
                 f'<polyline points="{joined}" fill="none" stroke="{color}" stroke-width="1.6"/>'
@@ -171,7 +170,7 @@ def line_plot(
                         f'<line x1="{x - 3:.2f}" y1="{yy:.2f}" x2="{x + 3:.2f}" y2="{yy:.2f}" '
                         f'stroke="{color}" stroke-width="1"/>'
                     )
-        if s.mode in ("points", "both"):
+        if s.mode == "points":
             for x, y in pts:
                 parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="{color}"/>')
 

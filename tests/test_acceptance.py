@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from gralab import beables, cascade, classical, fock, photodetect
+from gralab import beables, cascade, checks, classical, fock, photodetect
 
 MC_SEED = 20260822
 
@@ -23,6 +23,10 @@ def _report(capsys, number: int, label: str, failures: list[str], elapsed: float
     with capsys.disabled():
         print(f"[{tag}] criterion {number}: {label} ({elapsed:.2f} s)")
     assert not failures, "; ".join(failures)
+
+
+def _failed(records) -> list[str]:
+    return [f"{r.label} {r.value:.2e} (bound {r.bound:.1e})" for r in records if not r.passed]
 
 
 def test_criterion_1_closed_form_ratios(capsys):
@@ -187,18 +191,11 @@ def test_criterion_8_interference_beables(capsys):
     pair = beables.ModePair(amp_a=1.0, amp_b=1.0)
     phis = np.linspace(0.0, 2.0 * math.pi, 72, endpoint=False)
     i_c, i_d = beables.beam_intensity_curves(pair, phis)
-    peak = float(max(i_c.max(), i_d.max()))
-    for name, curve in (("c", i_c), ("d", i_d)):
-        gap = abs(beables.visibility(curve) - 1.0)
-        if gap >= 1e-9:
-            failures.append(f"beam {name} visibility off 1 by {gap:.2e}")
-    if i_d[0] >= 1e-12 * peak:
-        failures.append(f"d beam not extinguished at phi=0 ({i_d[0]:.2e})")
-    if i_c[36] >= 1e-12 * peak:
-        failures.append(f"c beam not extinguished at phi=pi ({i_c[36]:.2e})")
-    total = i_c + i_d
-    if float(total.max() - total.min()) >= 1e-10:
-        failures.append("summed output intensity varies with phi")
+    # Visibility 1 to 1e-9, extinctions below 1e-12 of the peak, and a summed
+    # intensity flat to 1e-10 of the peak, which must be exactly 1 here.
+    if max(i_c.max(), i_d.max()) != 1.0:
+        failures.append(f"peak intensity {max(i_c.max(), i_d.max())} is not 1")
+    failures += _failed(checks.fringes(i_c, i_d))
     _report(capsys, 8, "interference fringes and balance", failures, time.perf_counter() - t0, 10.0)
 
 
@@ -206,10 +203,10 @@ def test_criterion_9_whole_quantum_absorption(capsys):
     t0 = time.perf_counter()
     failures = []
     report = photodetect.absorption_matrix_element_check(photodetect.split_photon_state(0.0, n_max=8))
-    if report.nonzero_count != 1:
-        failures.append(f"{report.nonzero_count} field sectors survive instead of 1")
-    if report.largest_other >= 1e-12:
-        failures.append(f"non-vacuum overlap {report.largest_other:.2e}")
+    records = checks.absorption(report)
+    if len(records) != 2:
+        failures.append(f"{len(records)} absorption checks instead of 2")
+    failures += _failed(records)
     exposure = 3.0
     mismatch = np.linspace(-6.0, 6.0, 241)
     shape = np.abs(photodetect.resonance_factor(mismatch, exposure)) ** 2

@@ -4,22 +4,31 @@ import csv
 import json
 import math
 import re
+import shlex
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gralab import checks
 from gralab.beables import ModePair, beables_region1
 from gralab.cli import main
 from gralab.fock import ChaoticState, default_cutoff
 
 FLOAT_CELL = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,}$")
 FIELD_NAMES = ("vector_potential", "electric_field", "magnetic_field", "intensity")
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+def _manifest(out_dir, subcommand):
+    return json.loads((out_dir / f"{subcommand}_manifest.json").read_text())
 
 
 def test_g2_table_and_manifest(tmp_path):
@@ -98,6 +107,15 @@ def test_classical_constant_law(tmp_path, capsys):
     assert "alpha=" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("scale", ["nan", "inf", "-1"])
+def test_classical_bad_scale_exits_one(tmp_path, capsys, scale):
+    for law in ("constant", "uniform", "exponential", "two-point"):
+        argv = ["--out-dir", str(tmp_path), "classical", "--law", law, f"--scale={scale}"]
+        assert main(argv) == 1
+        assert "error: intensity scale must be nonnegative and finite" in capsys.readouterr().err
+    assert not (tmp_path / "classical.csv").exists()
+
+
 def test_cascade_single_point(tmp_path, capsys):
     assert main(
         ["--out-dir", str(tmp_path), "cascade", "--gates", "3000", "--n-omega", "0.3"]
@@ -169,6 +187,16 @@ def test_beables_region1_with_checks(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "[ok]" in out
     assert "FAIL" not in out
+    # Every printed check is recorded with its value and bound.
+    records = _manifest(tmp_path, "beables")["checks"]
+    assert [r["label"] for r in records] == [
+        "wave-equation residual", "E vs -(1/c) dA/dt", "B vs curl A", "energy drift over a cycle",
+    ]
+    assert [r["bound"] for r in records] == [1e-4, 1e-6, 1e-6, 1e-5]
+    assert all(r["passed"] and 0.0 <= r["value"] < r["bound"] for r in records)
+    assert records == [asdict(r) for r in checks.region1(ModePair.single_frequency(1.0), 1.0, None)]
+    for r in records:
+        assert f"[ok] {r['label']}: {r['value']:.3e} (bound {r['bound']:.1e})" in out
     header, rows = _read_csv(tmp_path / "fields.csv")
     assert len(header) == 13
     assert len(rows) == 33
@@ -188,6 +216,21 @@ def test_beables_region1_with_checks(tmp_path, capsys):
     assert main(["--out-dir", str(tmp_path / "json"), "--format", "json", "beables", "--samples", "33"]) == 0
     table = np.array(json.loads((tmp_path / "json" / "fields.json").read_text())["rows"])
     assert np.all(np.abs(table - want) <= 1e-12 * envelope)
+    assert "checks" not in _manifest(tmp_path / "json", "beables")
+
+
+def test_beables_failed_check_is_recorded(tmp_path, capsys, monkeypatch):
+    # The checks reach the beables through the module attribute, so a NaN
+    # residual shows up as a failed record, and a NaN never passes.
+    monkeypatch.setattr("gralab.beables.wave_equation_residual", lambda *args, **kwargs: math.nan)
+    argv = ["--out-dir", str(tmp_path), "beables", "--check", "--samples", "9"]
+    assert main(argv) == 1
+    assert "[FAIL] wave-equation residual: nan (bound 1.0e-04)" in capsys.readouterr().out
+    records = _manifest(tmp_path, "beables")["checks"]
+    assert records[0]["label"] == "wave-equation residual"
+    assert math.isnan(records[0]["value"])
+    assert records[0]["passed"] is False
+    assert [r["passed"] for r in records[1:]] == [True, True, True]
 
 
 def test_beables_region2_sweep_checks(tmp_path, capsys):
@@ -201,6 +244,14 @@ def test_beables_region2_sweep_checks(tmp_path, capsys):
     assert "FAIL" not in out
     _, rows = _read_csv(tmp_path / "visibility.csv")
     assert len(rows) == 72
+    records = _manifest(tmp_path, "beables")["checks"]
+    assert [r["label"] for r in records] == [
+        "beam c visibility - 1", "beam d visibility - 1",
+        "beam d at phi=0", "beam c at phi=pi", "summed intensity spread",
+    ]
+    # The averaged intensity peaks at exactly 1 with unit volume and k0.
+    assert [r["bound"] for r in records] == [1e-9, 1e-9, 1e-12, 1e-12, 1e-10]
+    assert all(r["passed"] and 0.0 <= r["value"] < r["bound"] for r in records)
 
 
 def test_beables_region2_fields_with_vacuum(tmp_path, capsys):
@@ -214,6 +265,10 @@ def test_beables_region2_fields_with_vacuum(tmp_path, capsys):
     assert "FAIL" not in capsys.readouterr().out
     _, rows = _read_csv(tmp_path / "fields.csv")
     assert len(rows) == 17
+    records = _manifest(tmp_path, "beables")["checks"]
+    assert [r["label"] for r in records] == ["E vs -(1/c) dA/dt", "B vs curl A"]
+    assert [r["bound"] for r in records] == [1e-6, 1e-6]
+    assert all(r["passed"] and 0.0 <= r["value"] < r["bound"] for r in records)
 
 
 @pytest.mark.parametrize("phi", ["nan", "inf", "-inf"])
@@ -247,6 +302,10 @@ def test_photodetect_outputs(tmp_path, capsys):
     assert np.abs(selection["vacuum_amplitude"][0] + 1.0 / math.sqrt(2.0)) < 1e-12
     assert np.abs(selection["vacuum_amplitude"][1] - 1.0 / math.sqrt(2.0)) < 1e-12
     assert "resonant wavenumber" in capsys.readouterr().out
+    assert _manifest(tmp_path, "photodetect")["checks"] == [
+        {"label": "largest non-vacuum overlap", "value": 0.0, "bound": 1e-12, "passed": True},
+        {"label": "surviving field sectors", "value": 1.0, "bound": 1.0, "passed": True},
+    ]
 
 
 def test_photodetect_dark_phase(tmp_path, capsys):
@@ -257,12 +316,44 @@ def test_photodetect_dark_phase(tmp_path, capsys):
     assert selection["amplitude_vanishes"]
     assert selection["nonzero_count"] == 0
     assert "no absorption" in capsys.readouterr().out
+    # No sector count when nothing is absorbed: only the overlap is checked.
+    assert [r["label"] for r in _manifest(tmp_path, "photodetect")["checks"]] == [
+        "largest non-vacuum overlap"
+    ]
 
 
 @pytest.mark.parametrize("time", ["nan", "inf"])
 def test_photodetect_nonfinite_time_exits_one(tmp_path, capsys, time):
     assert main(["--out-dir", str(tmp_path), "photodetect", "--time", time]) == 1
     assert "error: exposure time must be nonnegative and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k_max", ["nan", "inf", "0", "-1"])
+def test_photodetect_bad_wavenumber_range_exits_one(tmp_path, capsys, k_max):
+    assert main(["--out-dir", str(tmp_path), "photodetect", f"--k-max={k_max}"]) == 1
+    assert "error: spectrum wavenumber range must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "spectrum.csv").exists()
+
+
+def _readme_commands():
+    usage = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = usage.split("```")[1]
+    return [line for line in block.splitlines() if line.startswith("gralab ")]
+
+
+def test_readme_commands_pass_their_checks(tmp_path):
+    # Each command line of the README's usage block, run as documented.
+    commands = _readme_commands()
+    assert len(commands) >= 7
+    checked = 0
+    for i, line in enumerate(commands):
+        out_dir = tmp_path / str(i)
+        assert main(["--out-dir", str(out_dir)] + shlex.split(line)[1:]) == 0, line
+        (manifest,) = out_dir.glob("*_manifest.json")
+        for record in json.loads(manifest.read_text()).get("checks", []):
+            assert record["passed"], (line, record)
+            checked += 1
+    assert checked > 0
 
 
 def test_out_dir_environment_fallback(tmp_path, monkeypatch):
