@@ -112,8 +112,11 @@ class ModePair:
 
         On this manifold both coordinates rotate rigidly at one frequency
         and keep their moduli; it is the regime the closed single-frequency
-        solution describes exactly.
+        solution describes exactly.  The beams run along +x and +y with
+        wavenumber k0, which must be positive and finite.
         """
+        if not 0.0 < k0 < math.inf:
+            raise ValueError("beam wavenumber must be positive and finite")
         return cls(
             amp_a=amp,
             amp_b=amp,

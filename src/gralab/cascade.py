@@ -12,7 +12,11 @@ splitter into independent per-arm Poisson streams, each gate costs a few
 uniforms: one routes the paired photon and one per arm decides whether
 any accidental was counted there.  The same independence gives the exact
 per-gate probabilities at finite efficiency (gate_probabilities) and the
-exact ratio (exact_alpha) that the Monte Carlo converges to.
+exact ratio (exact_alpha) that the Monte Carlo converges to.  The source
+time between gates is exponential, but the counters never read a single
+wait: a chunk of g gates draws its total wait as one Gamma(g) variate,
+and only the chunk where a run_time stop falls splits that total into
+individual waits.
 """
 
 from __future__ import annotations
@@ -204,7 +208,15 @@ def simulate(cfg: CascadeConfig) -> CountRecord:
     into independent per-arm Poisson streams, so one more uniform per arm
     marks the gates where at least one was counted.  Counters record
     per-gate indicators, whose probabilities are gate_probabilities(cfg).
-    Deterministic for a fixed configuration.
+
+    Each gate follows an exponential wait of mean 1 / (N epsilon_1) and
+    lasts w.  A chunk of g gates draws its total wait as one
+    Gamma(g, 1 / (N epsilon_1)) variate.  Under run_time a chunk fits
+    exactly when its total does; in the chunk where the stop falls, g
+    exponentials rescaled to that total (a flat Dirichlet) are the waits,
+    and elapsed_sim_time is the end of the last gate to end by run_time.
+    The joint law of gate count and elapsed time is that of drawing every
+    wait.  Deterministic for a fixed configuration.
     """
     f = f_omega(cfg)
     p_short = 1.0 - math.exp(-cfg.gate / cfg.lifetime)
@@ -217,8 +229,9 @@ def simulate(cfg: CascadeConfig) -> CountRecord:
     n1 = nt = nr = nc = arrivals = 0
     elapsed = 0.0
     remaining = cfg.target_gates
+    last = False
 
-    while True:
+    while not last:
         if remaining is not None:
             if remaining <= 0:
                 break
@@ -227,14 +240,20 @@ def simulate(cfg: CascadeConfig) -> CountRecord:
             g = _CHUNK
         rng = np.random.Generator(np.random.PCG64(root.spawn(1)[0]))
 
-        waits = rng.exponential(wait_scale, g)
-        if remaining is None:
+        # The sum of g exponential waits is Gamma(g, wait_scale).
+        total_wait = rng.gamma(g, wait_scale)
+        chunk_end = elapsed + (total_wait + g * cfg.gate)
+        if remaining is None and chunk_end > cfg.run_time:
+            # The run ends inside this chunk.  Given their sum, the waits
+            # are that sum times a flat Dirichlet: g exponentials rescaled.
+            waits = rng.standard_exponential(g)
+            waits *= total_wait / waits.sum()
             t_cum = elapsed + np.cumsum(waits + cfg.gate)
-            fit = int(np.searchsorted(t_cum, cfg.run_time, side="right"))
-            if fit == 0:
+            g = int(np.searchsorted(t_cum, cfg.run_time, side="right"))
+            if g == 0:
                 break
-            g = fit
-            waits = waits[:g]
+            chunk_end, last = float(t_cum[g - 1]), True
+        elapsed = chunk_end
 
         u = rng.random(g)
         if cfg.arrival_mode == "analytic":
@@ -255,12 +274,8 @@ def simulate(cfg: CascadeConfig) -> CountRecord:
         nt += int(np.count_nonzero(hit_t))
         nr += int(np.count_nonzero(hit_r))
         nc += int(np.count_nonzero(hit_t & hit_r))
-        elapsed += float(waits.sum()) + g * cfg.gate
-
         if remaining is not None:
             remaining -= g
-        elif g < _CHUNK:
-            break
 
     return CountRecord(
         n1_counts=n1,
@@ -312,13 +327,17 @@ def alpha_stderr(rec: CountRecord) -> float:
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One point of a measured-versus-analytic ratio curve."""
+    """One point of a measured ratio curve, with the vanishing-efficiency
+    curve (alpha_analytic) and the exact ratio at the run's arm
+    efficiencies (alpha_exact) that the measurement converges to."""
 
     n_omega: float
     alpha_mc: float
     alpha_analytic: float
     stderr: float
     gates: int
+    alpha_exact: float
+    elapsed_sim_time: float
 
 
 def sweep_curve(template: CascadeConfig, n_omega_values) -> list[SweepPoint]:
@@ -350,6 +369,8 @@ def sweep_curve(template: CascadeConfig, n_omega_values) -> list[SweepPoint]:
                 alpha_analytic=g2_analytic(x, f),
                 stderr=alpha_stderr(rec),
                 gates=rec.total_gates,
+                alpha_exact=exact_alpha(cfg),
+                elapsed_sim_time=rec.elapsed_sim_time,
             )
         )
     return points

@@ -16,7 +16,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -111,9 +111,14 @@ def _write_manifest(
     if counters is not None:
         payload["counters"] = counters
     if results is not None:
-        payload["checks"] = [asdict(check) for check in results]
+        # Strict JSON has no NaN or infinity: a non-finite check value is null.
+        payload["checks"] = [
+            {**asdict(check), "value": check.value if math.isfinite(check.value) else None}
+            for check in results
+        ]
     path = out_dir / f"{subcommand}_manifest.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
     return path
 
 
@@ -261,12 +266,14 @@ def _cascade_template(args) -> tuple[cascade.CascadeConfig, list[float], float]:
 def cmd_cascade(args, out_dir: Path) -> int:
     t0 = time.monotonic()
     template, points, n_omega = _cascade_template(args)
-    header = ["n_omega", "alpha_mc", "alpha_analytic", "stderr", "gates"]
-    if args.sweep:
-        results = cascade.sweep_curve(template, points)
-    else:
-        results = cascade.sweep_curve(template, [n_omega])
-    rows = [[p.n_omega, p.alpha_mc, p.alpha_analytic, p.stderr, p.gates] for p in results]
+    header = ["n_omega", "alpha_mc", "alpha_analytic", "stderr", "gates", "alpha_exact"]
+    t_compute = time.monotonic()
+    results = cascade.sweep_curve(template, points if args.sweep else [n_omega])
+    compute_s = time.monotonic() - t_compute
+    rows = [
+        [p.n_omega, p.alpha_mc, p.alpha_analytic, p.stderr, p.gates, p.alpha_exact]
+        for p in results
+    ]
     for p in results:
         print(
             f"Nw={p.n_omega:g} alpha={p.alpha_mc:.6f} +- {p.stderr:.6f} "
@@ -292,6 +299,9 @@ def cmd_cascade(args, out_dir: Path) -> int:
                 mode="points",
             )
         )
+    # The exact ratio at the run's efficiencies, which the measurement converges to.
+    exact = [cascade.exact_alpha(replace(template, decay_rate=float(x) / template.gate)) for x in xs]
+    series.append(svgplot.Series(x=list(xs), y=exact, label="exact"))
     svg = out_dir / "cascade_curve.svg"
     svgplot.line_plot(
         svg,
@@ -305,22 +315,28 @@ def cmd_cascade(args, out_dir: Path) -> int:
 
     config = asdict(template)
     config["n_omega_values" if args.sweep else "n_omega"] = points if args.sweep else n_omega
-    _write_manifest(out_dir, "cascade", config, args.seed, outputs, t0)
+    gates = sum(p.gates for p in results)
+    counters = {
+        "cascade": {
+            "gates": gates,
+            "compute_seconds": compute_s,
+            "gates_per_s": gates / compute_s,
+            "elapsed_sim_time": [p.elapsed_sim_time for p in results],
+        }
+    }
+    _write_manifest(out_dir, "cascade", config, args.seed, outputs, t0, counters)
     return 0
 
 
 def _beables_pair(args) -> beables.ModePair:
+    pair = beables.ModePair.single_frequency(args.amp, phase_b=args.phase_b or 0.0, k0=args.k0)
     if args.amp_b is None and args.phase_a is None:
-        return beables.ModePair.single_frequency(
-            args.amp, phase_b=args.phase_b or 0.0, k0=args.k0
-        )
-    return beables.ModePair(
-        amp_a=args.amp,
+        return pair
+    # Off the manifold: the same beams with their own amplitude and phase.
+    return replace(
+        pair,
         amp_b=args.amp if args.amp_b is None else args.amp_b,
         phase_a=0.0 if args.phase_a is None else args.phase_a,
-        phase_b=args.phase_b or 0.0,
-        k_a=args.k0 * np.array([1.0, 0.0, 0.0]),
-        k_b=args.k0 * np.array([0.0, 1.0, 0.0]),
     )
 
 

@@ -131,6 +131,12 @@ def test_criterion_4_counting_curve(capsys):
                 f"Nw={p.n_omega}: |{p.alpha_mc:.4f} - {p.alpha_analytic:.4f}| "
                 f"= {gap:.4f} > {bound:.4f}"
             )
+        # Against the exact ratio at the run's efficiencies, in error bars alone.
+        z = (p.alpha_mc - p.alpha_exact) / p.stderr
+        if not abs(z) < 5.0:
+            failures.append(
+                f"Nw={p.n_omega}: {p.alpha_mc:.4f} is {z:+.2f} sigma from exact {p.alpha_exact:.4f}"
+            )
     _report(capsys, 4, "counting curve vs analytic ratio", failures, time.perf_counter() - t0, 120.0)
 
 

@@ -82,6 +82,12 @@ def test_mode_pair_validation():
         ModePair(amp_a=1.0, amp_b=1.0, pol_a=np.array([1.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("k0", [0.0, -1.0, math.nan, math.inf])
+def test_single_frequency_rejects_bad_wavenumber(k0):
+    with pytest.raises(ValueError, match="beam wavenumber must be positive and finite"):
+        ModePair.single_frequency(1.0, k0=k0)
+
+
 NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 

@@ -1,10 +1,11 @@
 """Gated-cascade Monte Carlo against its closed-form counting model."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gralab.cascade import (
@@ -248,6 +249,81 @@ def test_run_time_mode():
     # expected gate spacing 1 us, so thousands of gates fit
     assert rec.total_gates > 3000
     assert simulate(cfg) == rec
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    log_rate=st.floats(3.0, 9.0),
+    epsilon_1=st.floats(0.01, 1.0),
+    expected_gates=st.floats(1.0, 200_000.0),
+    seed=st.integers(0, 2**32),
+)
+def test_run_time_bound_is_exact_and_deterministic(log_rate, epsilon_1, expected_gates, seed):
+    # Run times from one expected gate to about three chunks, so the stop
+    # falls in the first chunk or several chunks in.
+    rate = 10.0**log_rate
+    spacing = 1.0 / (rate * epsilon_1) + 9.4e-9
+    cfg = CascadeConfig(
+        decay_rate=rate, epsilon_1=epsilon_1, run_time=expected_gates * spacing, rng_seed=seed
+    )
+    rec = simulate(cfg)
+    assert rec.elapsed_sim_time <= cfg.run_time
+    assert rec.elapsed_sim_time >= rec.total_gates * cfg.gate
+    assert simulate(cfg) == rec
+
+
+# ------------------------------------------------- source-time distribution
+
+Z_GATE = 5.0
+
+
+def _reference_gate_count(cfg: CascadeConfig, rng: np.random.Generator) -> int:
+    """Gates that end by run_time when every wait is drawn on its own."""
+    scale = 1.0 / (cfg.decay_rate * cfg.epsilon_1)
+    mean_gates = cfg.run_time / (scale + cfg.gate)
+    n = int(mean_gates + 10.0 * math.sqrt(mean_gates) + 100.0)
+    t_cum = np.cumsum(rng.exponential(scale, n) + cfg.gate)
+    assert t_cum[-1] > cfg.run_time
+    return int(np.searchsorted(t_cum, cfg.run_time, side="right"))
+
+
+def _two_sample_z(a, b) -> tuple[float, float]:
+    """z of the difference in means, and of the log ratio of variances
+    (its variance is about 2 / (R - 1) per sample for near-normal data)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    z_mean = (a.mean() - b.mean()) / math.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
+    se_log_ratio = math.sqrt(2.0 / (a.size - 1) + 2.0 / (b.size - 1))
+    z_var = math.log(a.var(ddof=1) / b.var(ddof=1)) / se_log_ratio
+    return z_mean, z_var
+
+
+def test_target_gates_elapsed_time_is_gamma():
+    # The elapsed time of g gates is Gamma(g, scale) + g w: mean
+    # g (scale + w) and variance g scale^2.  g spans two chunks.
+    runs, g = 200, 70_000
+    cfg = _config(decay_rate=0.3 / 9.4e-9, target_gates=g)
+    scale = 1.0 / (cfg.decay_rate * cfg.epsilon_1)
+    times = np.array([simulate(replace(cfg, rng_seed=seed)).elapsed_sim_time for seed in range(runs)])
+    mean, var = g * (scale + cfg.gate), g * scale**2
+    assert abs(times.mean() - mean) / math.sqrt(var / runs) < Z_GATE
+    # Sample variance of R draws: variance (2 / (R - 1) + kurtosis / R) var^2,
+    # with the Gamma excess kurtosis 6 / g.
+    se_var = var * math.sqrt(2.0 / (runs - 1) + 6.0 / (g * runs))
+    assert abs(times.var(ddof=1) - var) / se_var < Z_GATE
+
+
+@pytest.mark.parametrize("expected_gates,runs", [(1_000, 300), (230_000, 60)])
+def test_run_time_gate_count_matches_per_wait_reference(expected_gates, runs):
+    # The stop falls inside the first chunk, or three chunks in.
+    cfg = _config(decay_rate=0.3 / 9.4e-9, target_gates=None, run_time=1.0)
+    scale = 1.0 / (cfg.decay_rate * cfg.epsilon_1)
+    cfg = replace(cfg, run_time=expected_gates * (scale + cfg.gate))
+    counts = [simulate(replace(cfg, rng_seed=seed)).total_gates for seed in range(runs)]
+    rng = np.random.default_rng(31)
+    reference = [_reference_gate_count(cfg, rng) for _ in range(runs)]
+    z_mean, z_var = _two_sample_z(counts, reference)
+    assert abs(z_mean) < Z_GATE
+    assert abs(z_var) < Z_GATE
 
 
 # ------------------------------------------ exact finite-efficiency reference

@@ -13,6 +13,7 @@ import pytest
 
 from gralab import checks
 from gralab.beables import ModePair, beables_region1
+from gralab.cascade import CascadeConfig, correlation_for_f, exact_alpha
 from gralab.cli import main
 from gralab.fock import ChaoticState, default_cutoff
 
@@ -27,8 +28,14 @@ def _read_csv(path):
     return rows[0], rows[1:]
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 def _manifest(out_dir, subcommand):
-    return json.loads((out_dir / f"{subcommand}_manifest.json").read_text())
+    """The manifest, read as strict JSON: a NaN or Infinity token fails."""
+    text = (out_dir / f"{subcommand}_manifest.json").read_text()
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 def test_g2_table_and_manifest(tmp_path):
@@ -121,14 +128,29 @@ def test_cascade_single_point(tmp_path, capsys):
         ["--out-dir", str(tmp_path), "cascade", "--gates", "3000", "--n-omega", "0.3"]
     ) == 0
     header, rows = _read_csv(tmp_path / "cascade_curve.csv")
-    assert header == ["n_omega", "alpha_mc", "alpha_analytic", "stderr", "gates"]
+    assert header == ["n_omega", "alpha_mc", "alpha_analytic", "stderr", "gates", "alpha_exact"]
     assert len(rows) == 1
     assert np.abs(float(rows[0][0]) - 0.3) < 1e-12
     assert rows[0][4] == "3000"
-    assert (tmp_path / "cascade_curve.svg").exists()
+    # The exact ratio at the run's default efficiencies, not the analytic limit.
+    cfg = CascadeConfig(
+        decay_rate=0.3 / 9.4e-9, correlation_factor=correlation_for_f(0.9), target_gates=1
+    )
+    exact = exact_alpha(cfg)
+    assert abs(float(rows[0][5]) / exact - 1.0) < 1e-11
+    assert abs(exact / float(rows[0][2]) - 1.0) > 1e-3
+    assert ">exact</text>" in (tmp_path / "cascade_curve.svg").read_text()
     assert "Nw=0.3" in capsys.readouterr().out
-    manifest = json.loads((tmp_path / "cascade_manifest.json").read_text())
+    manifest = _manifest(tmp_path, "cascade")
     assert manifest["config"]["n_omega"] == 0.3
+    counters = manifest["counters"]["cascade"]
+    assert counters["gates"] == 3000
+    assert counters["gates_per_s"] == pytest.approx(3000 / counters["compute_seconds"])
+    assert 0.0 < counters["compute_seconds"] <= manifest["duration_seconds"]
+    # 3000 exponential waits of mean 1 / (N eps_1) plus a gate each, within 5 sigma.
+    scale = 9.4e-9 / (0.3 * 0.1)
+    (elapsed,) = counters["elapsed_sim_time"]
+    assert abs(elapsed - 3000 * (scale + 9.4e-9)) < 5.0 * math.sqrt(3000) * scale
 
 
 def test_cascade_deterministic_across_runs(tmp_path):
@@ -148,8 +170,16 @@ def test_cascade_sweep_with_isolated_point(tmp_path):
     assert len(rows) == 3
     assert float(rows[0][0]) == 0.0
     assert float(rows[0][1]) == 0.0
-    manifest = json.loads((tmp_path / "cascade_manifest.json").read_text())
+    # Accidentals off at Nw = 0: the exact ratio is exactly zero too.
+    assert float(rows[0][5]) == 0.0
+    manifest = _manifest(tmp_path, "cascade")
     assert manifest["config"]["n_omega_values"] == [0.0, 0.1, 0.9]
+    counters = manifest["counters"]["cascade"]
+    assert counters["gates"] == 6000
+    elapsed = counters["elapsed_sim_time"]
+    assert len(elapsed) == 3 and all(t > 2000 * 9.4e-9 for t in elapsed)
+    # The source rate N = Nw / w sets the mean wait, so a denser source runs shorter.
+    assert elapsed[2] < elapsed[1]
 
 
 def test_cascade_config_conflicts(tmp_path, capsys):
@@ -173,7 +203,7 @@ def test_cascade_config_nanosecond_keys(tmp_path):
     assert main(
         ["--out-dir", str(tmp_path), "cascade", "--config", str(config), "--gates", "2000"]
     ) == 0
-    manifest = json.loads((tmp_path / "cascade_manifest.json").read_text())
+    manifest = _manifest(tmp_path, "cascade")
     assert np.abs(manifest["config"]["gate"] - 9.4e-9) < 1e-21
     assert np.abs(manifest["config"]["lifetime"] - 4.7e-9) < 1e-21
 
@@ -226,9 +256,10 @@ def test_beables_failed_check_is_recorded(tmp_path, capsys, monkeypatch):
     argv = ["--out-dir", str(tmp_path), "beables", "--check", "--samples", "9"]
     assert main(argv) == 1
     assert "[FAIL] wave-equation residual: nan (bound 1.0e-04)" in capsys.readouterr().out
+    # A NaN value is written as null, never as a bare NaN token.
     records = _manifest(tmp_path, "beables")["checks"]
     assert records[0]["label"] == "wave-equation residual"
-    assert math.isnan(records[0]["value"])
+    assert records[0]["value"] is None
     assert records[0]["passed"] is False
     assert [r["passed"] for r in records[1:]] == [True, True, True]
 
@@ -277,6 +308,23 @@ def test_beables_nonfinite_phase_exits_one(tmp_path, capsys, phi):
     assert main(argv) == 1
     assert "error: interferometer phase must be finite" in capsys.readouterr().err
     assert not (tmp_path / "fields.csv").exists()
+
+
+@pytest.mark.parametrize("k0", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("extra", [[], ["--amp-b", "0.8"], ["--region", "2", "--sweep"]])
+def test_beables_bad_wavenumber_exits_one(tmp_path, capsys, k0, extra):
+    # On and off the single-frequency manifold, and for the sweep.
+    assert main(["--out-dir", str(tmp_path), "beables", f"--k0={k0}"] + extra) == 1
+    assert "error: beam wavenumber must be positive and finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_beables_off_manifold_pair(tmp_path):
+    argv = ["beables", "--amp-b", "0.8", "--phase-b", "0.3", "--k0", "2", "--samples", "5"]
+    assert main(["--out-dir", str(tmp_path)] + argv) == 0
+    config = _manifest(tmp_path, "beables")["config"]
+    assert (config["amp_a"], config["amp_b"], config["k0"]) == (1.0, 0.8, 2.0)
+    assert (config["phase_a"], config["phase_b"]) == (0.0, 0.3)
 
 
 @pytest.mark.parametrize("volume", ["nan", "inf", "0", "-1"])
