@@ -8,20 +8,25 @@ accidentals) along alpha(Nw) = (2 f Nw + (Nw)^2) / (f + Nw)^2 in the
 limit of vanishing arm efficiency.  The simulation counts gate-level
 detection indicators exactly as a counter rack would, with whole photons
 routed to one arm or the other.  Because the accidentals split at the
-splitter into independent per-arm Poisson streams, each gate costs a few
-uniforms: one routes the paired photon and one per arm decides whether
-any accidental was counted there.  The same independence gives the exact
-per-gate probabilities at finite efficiency (gate_probabilities) and the
-exact ratio (exact_alpha) that the Monte Carlo converges to.  The source
+splitter into independent per-arm Poisson streams, the gates where each
+arm counts an accidental form independent event sets; the gates where
+the paired photon is counted form two more, exclusive of each other.
+At the experiment's operating point a counter fires in a few percent of
+gates, so the sampler draws each event set sparsely, as a Poisson number
+of marks on random gates, and compares one uniform per gate only where a
+fixed cost model says that is cheaper.  The same independence gives the
+exact per-gate probabilities at finite efficiency (gate_probabilities)
+and the exact ratio (exact_alpha) that the Monte Carlo converges to.  The source
 time between gates is exponential, but the counters never read a single
 wait: a chunk of g gates draws its total wait as one Gamma(g) variate,
-and only the chunk where a run_time stop falls splits that total into
-individual waits.
+and the chunk where a run_time stop falls is halved by Beta splits of
+that total until a leaf of a few hundred gates draws its waits.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -29,6 +34,16 @@ import numpy as np
 from .fock import BeamSplitter
 
 _CHUNK = 65536
+# A run_time stop is located by halving its chunk down to at most this
+# many gates, whose waits are then drawn one by one.
+_LEAF = 256
+# Measured costs (2 CPUs, numpy 2.4) that decide how a row of gates
+# draws an event set: one uniform per gate, or a Poisson number of marks
+# on random gates; each way also pays a fixed cost per row.
+_NS_PER_UNIFORM = 5.0
+_NS_PER_DENSE_ROW = 4000.0
+_NS_PER_MARK = 10.0
+_NS_PER_SPARSE_ROW = 6000.0
 
 
 class ConfigError(ValueError):
@@ -37,6 +52,11 @@ class ConfigError(ValueError):
 
 class InsufficientCounts(ValueError):
     """Too few counts to form the requested estimate."""
+
+
+def _is_integer(value) -> bool:
+    """An integer of any integral type, but not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -88,13 +108,19 @@ class CascadeConfig:
             raise ConfigError("arrival mode must be 'analytic' or 'physical'")
         if (self.run_time is None) == (self.target_gates is None):
             raise ConfigError("set exactly one of run_time and target_gates")
-        if self.target_gates is not None and self.target_gates <= 0:
-            raise ConfigError("target gate count must be positive")
+        if self.target_gates is not None:
+            if not _is_integer(self.target_gates):
+                raise ConfigError("target gate count must be an integer")
+            if self.target_gates <= 0:
+                raise ConfigError("target gate count must be positive")
+            object.__setattr__(self, "target_gates", int(self.target_gates))
         if self.run_time is not None:
             if not self.run_time < math.inf:
                 raise ConfigError("run time must be finite")
             if self.decay_rate * self.epsilon_1 * self.run_time < 1.0:
                 raise ConfigError("run time too short for even one expected gate")
+        if not _is_integer(self.rng_seed):
+            raise ConfigError("rng seed must be an integer")
         if self.rng_seed < 0:
             raise ConfigError("rng seed must be nonnegative")
 
@@ -155,11 +181,10 @@ def _arm_probabilities(cfg: CascadeConfig) -> tuple[float, float]:
     return cfg.bs.t**2 * cfg.epsilon_t, cfg.bs.r**2 * cfg.epsilon_r
 
 
-def _accidental_probabilities(cfg: CascadeConfig) -> tuple[float, float]:
-    """Probabilities 1 - e^(-lambda c p) that at least one accidental is
-    counted in each arm; expm1 keeps a small lambda c p from rounding to 0."""
+def _accidental_means(cfg: CascadeConfig) -> tuple[float, float]:
+    """Mean number lambda c p of accidentals counted in each arm per gate."""
     lam_c = cfg.decay_rate * cfg.gate * cfg.accidental_collection
-    return tuple(-math.expm1(-lam_c * p) for p in _arm_probabilities(cfg))
+    return tuple(lam_c * p for p in _arm_probabilities(cfg))
 
 
 def gate_probabilities(cfg: CascadeConfig) -> tuple[float, float, float]:
@@ -177,7 +202,8 @@ def gate_probabilities(cfg: CascadeConfig) -> tuple[float, float, float]:
     """
     f = f_omega(cfg)
     p_t, p_r = _arm_probabilities(cfg)
-    acc_t, acc_r = _accidental_probabilities(cfg)
+    # 1 - e^(-lambda c p); expm1 keeps a small lambda c p from rounding to 0.
+    acc_t, acc_r = (-math.expm1(-m) for m in _accidental_means(cfg))
     big_t = acc_t + f * p_t * (1.0 - acc_t)
     big_r = acc_r + f * p_r * (1.0 - acc_r)
     big_c = f * p_t * acc_r + f * p_r * acc_t + (1.0 - f * (p_t + p_r)) * acc_t * acc_r
@@ -195,41 +221,157 @@ def exact_alpha(cfg: CascadeConfig) -> float:
     return big_c / (big_t * big_r)
 
 
+def _events_lambda(p: float) -> float:
+    """Mean marks per gate, -log(1 - p), that leave a gate unmarked with
+    probability 1 - p."""
+    return -math.log1p(-p) if p < 1.0 else math.inf
+
+
+def _sparse_is_cheaper(uniforms: int, marks: float, rows: int = 1) -> bool:
+    """Whether placing this many marks in this many rows of gates costs
+    less than drawing one row of this many uniforms, by the measured
+    per-draw costs."""
+    sparse = rows * _NS_PER_SPARSE_ROW + marks * _NS_PER_MARK
+    return sparse < _NS_PER_DENSE_ROW + uniforms * _NS_PER_UNIFORM
+
+
+def _mark_events(rng: np.random.Generator, hits: np.ndarray, lam_t: float, lam_r: float) -> None:
+    """Or into the two rows of hits, one per arm, independent event sets:
+    each gate is set in a row with probability 1 - e^(-lam), independently
+    of other gates, for a mean of lam marks per gate.
+
+    A sparse set is a Poisson number of marks of mean g lam, each on the
+    gate floor(g u) for a uniform u, which is as fine-grained as comparing
+    u with a probability.  By Poisson splitting the gates' mark counts are
+    independent Poisson variates of mean lam.  A row where the cost model
+    says it is cheaper compares one uniform per gate with 1 - e^(-lam)
+    instead; the sparse rows share one draw of mark positions.
+    """
+    g = hits.shape[1]
+    counts = [0, 0]
+    for i, lam in enumerate((lam_t, lam_r)):
+        if lam <= 0.0:
+            continue
+        if _sparse_is_cheaper(g, g * lam):
+            counts[i] = int(rng.poisson(g * lam))
+        else:
+            hits[i] |= rng.random(g) < -math.expm1(-lam)
+    n_t, n_r = counts
+    if n_t + n_r:
+        marks = (rng.random(n_t + n_r) * g).astype(np.intp)
+        hits[0][marks[:n_t]] = True
+        hits[1][marks[n_t:]] = True
+
+
+def _route(rng: np.random.Generator, hits: np.ndarray, lam_t: float, lam_r: float) -> None:
+    """Overwrite the two rows of hits with exclusive event sets: the gates
+    where the paired photon is counted in each arm, the first with
+    probability 1 - e^(-lam_t) and the second, among the other gates, with
+    probability 1 - e^(-lam_r).
+
+    Sparse, the second row is the event set of mean lam_r with the gates
+    of the first removed; dense, one uniform per gate decides both, as
+    u < 1 - e^(-lam_t) or 1 - e^(-lam_t) <= u < 1 - e^(-lam_t - lam_r).
+    """
+    g = hits.shape[1]
+    if _sparse_is_cheaper(g, g * (lam_t + lam_r), rows=2):
+        hits.fill(False)
+        _mark_events(rng, hits, lam_t, lam_r)
+        np.greater(hits[1], hits[0], out=hits[1])
+    else:
+        bounds = ((-math.expm1(-lam_t),), (-math.expm1(-lam_t - lam_r),))
+        np.less(rng.random(g), bounds, out=hits)
+        hits[1] ^= hits[0]
+
+
+def _gates_by_stop(
+    rng: np.random.Generator, start: float, total_wait: float, g: int, gate: float, stop: float
+) -> tuple[int, float]:
+    """Gates that end by stop, and the end of the last one, among g gates
+    from start whose exponential waits sum to total_wait.
+
+    Given their sum, the first h of g waits sum to total_wait times a
+    Beta(h, g - h) variate, and each half's waits are again a scaled flat
+    Dirichlet.  So the chunk is halved, keeping the half where the stop
+    falls, until a leaf of at most _LEAF gates draws its waits one by one.
+    """
+    fitted, end = 0, start
+    while g > _LEAF:
+        h = g // 2
+        left_wait = total_wait * rng.beta(h, g - h)
+        left_end = start + left_wait + h * gate
+        if left_end <= stop:
+            fitted, end, start = fitted + h, left_end, left_end
+            total_wait, g = total_wait - left_wait, g - h
+        else:
+            total_wait, g = left_wait, h
+    waits = rng.standard_exponential(g)
+    waits *= total_wait / waits.sum()
+    t_cum = start + np.cumsum(waits + gate)
+    n = int(np.searchsorted(t_cum, stop, side="right"))
+    return fitted + n, float(t_cum[n - 1]) if n else end
+
+
 def simulate(cfg: CascadeConfig) -> CountRecord:
     """Run the gated counting experiment and return the counter totals.
 
-    Per gate, one uniform u decides the paired photon: it arrived if
-    u < f, and it is counted in the transmitted arm if u < f p_t and in
-    the reflected arm if f p_t <= u < f (p_t + p_r), with p_t = t^2 eps_t
-    and p_r = r^2 eps_r.  In 'physical' mode the arrival comes instead
-    from the exponential delay (and, for a > 1, a promotion draw), and u
-    routes an arrived photon against p_t and p_t + p_r.  Accidental
-    photons, Poisson with mean N w thinned by accidental_collection, split
-    into independent per-arm Poisson streams, so one more uniform per arm
-    marks the gates where at least one was counted.  Counters record
-    per-gate indicators, whose probabilities are gate_probabilities(cfg).
+    Counters record per-gate indicators, whose probabilities are
+    gate_probabilities(cfg).  A chunk of gates draws only the events the
+    counters read, each as an event set or-ed into one bool buffer per arm.
+    The paired photon is counted in the transmitted arm with probability
+    s p_t and in the reflected arm with probability s p_r (_route), with
+    p_t = t^2 eps_t, p_r = r^2 eps_r and s = f in 'analytic' mode.  There
+    the arrival count adds, to the counted photons, a Binomial draw over
+    the other gates at the arrival probability of an uncounted photon.  In
+    'physical' mode s = 1, every gate draws the photon's exponential
+    delay, and a counted routing stands only where the photon arrived; for
+    a > 1 a promotion draw at each routed gate whose delay missed, and a
+    Binomial over the other missed gates, complete the arrivals.
+    Accidental photons, Poisson with mean N w thinned by
+    accidental_collection, split into independent per-arm Poisson streams,
+    so each arm's accidental marks are one more event set (_mark_events).
+    The coincidence count is that of gates marked in both arms.
 
     Each gate follows an exponential wait of mean 1 / (N epsilon_1) and
     lasts w.  A chunk of g gates draws its total wait as one
     Gamma(g, 1 / (N epsilon_1)) variate.  Under run_time a chunk fits
-    exactly when its total does; in the chunk where the stop falls, g
-    exponentials rescaled to that total (a flat Dirichlet) are the waits,
-    and elapsed_sim_time is the end of the last gate to end by run_time.
-    The joint law of gate count and elapsed time is that of drawing every
+    exactly when its total does; the chunk where the stop falls is halved
+    by Beta splits of that total down to a leaf of a few hundred gates,
+    whose waits are drawn one by one (_gates_by_stop), and
+    elapsed_sim_time is the end of the last gate to end by run_time.  The
+    joint law of gate count and elapsed time is that of drawing every
     wait.  Deterministic for a fixed configuration.
     """
     f = f_omega(cfg)
-    p_short = 1.0 - math.exp(-cfg.gate / cfg.lifetime)
-    a = cfg.correlation_factor
-    p_t_det, p_r_det = _arm_probabilities(cfg)
-    acc_t, acc_r = _accidental_probabilities(cfg)
+    analytic = cfg.arrival_mode == "analytic"
+    p_t, p_r = _arm_probabilities(cfg)
     wait_scale = 1.0 / (cfg.decay_rate * cfg.epsilon_1)
+    # Mean marks per gate of each event set: the paired photon counted in
+    # the transmitted arm, else in the reflected one, and the counted
+    # accidentals in each arm.
+    scale = f if analytic else 1.0
+    route_t = _events_lambda(scale * p_t)
+    route_r = _events_lambda(scale * p_r / (1.0 - scale * p_t)) if scale * p_t < 1.0 else 0.0
+    acc_t, acc_r = _accidental_means(cfg)
+    if analytic:
+        # Arrival probability at a gate whose paired photon was not counted.
+        uncounted = 1.0 - f * (p_t + p_r)
+        arrive_uncounted = min(1.0, f * (1.0 - p_t - p_r) / uncounted) if uncounted > 0.0 else 0.0
+    else:
+        p_short = 1.0 - math.exp(-cfg.gate / cfg.lifetime)
+        delay_cut = cfg.gate / cfg.lifetime
+        a = cfg.correlation_factor
+        promote = 0.0
+        if a > 1.0 and p_short < 1.0:
+            promote = min(1.0, (a - 1.0) * p_short / (1.0 - p_short))
 
     root = np.random.SeedSequence(cfg.rng_seed)
     n1 = nt = nr = nc = arrivals = 0
     elapsed = 0.0
     remaining = cfg.target_gates
     last = False
+    size = _CHUNK if remaining is None else min(_CHUNK, remaining)
+    buf = np.empty(2 * size, dtype=bool)
 
     while not last:
         if remaining is not None:
@@ -244,33 +386,33 @@ def simulate(cfg: CascadeConfig) -> CountRecord:
         total_wait = rng.gamma(g, wait_scale)
         chunk_end = elapsed + (total_wait + g * cfg.gate)
         if remaining is None and chunk_end > cfg.run_time:
-            # The run ends inside this chunk.  Given their sum, the waits
-            # are that sum times a flat Dirichlet: g exponentials rescaled.
-            waits = rng.standard_exponential(g)
-            waits *= total_wait / waits.sum()
-            t_cum = elapsed + np.cumsum(waits + cfg.gate)
-            g = int(np.searchsorted(t_cum, cfg.run_time, side="right"))
+            g, chunk_end = _gates_by_stop(rng, elapsed, total_wait, g, cfg.gate, cfg.run_time)
             if g == 0:
                 break
-            chunk_end, last = float(t_cum[g - 1]), True
+            last = True
         elapsed = chunk_end
 
-        u = rng.random(g)
-        if cfg.arrival_mode == "analytic":
-            arrived, scale = u < f, f
+        hits = buf[: 2 * g].reshape(2, g)
+        hit_t, hit_r = hits[0], hits[1]
+        _route(rng, hits, route_t, route_r)
+        if analytic:
+            counted = np.count_nonzero(hits)
+            arrivals += counted + int(rng.binomial(g - counted, arrive_uncounted))
         else:
-            arrived, scale = rng.exponential(cfg.lifetime, g) < cfg.gate, 1.0
-            if a > 1.0 and p_short < 1.0:
-                arrived |= rng.random(g) < (a - 1.0) * p_short / (1.0 - p_short)
-        hit_t = arrived & (u < scale * p_t_det)
-        hit_r = (arrived & (u < scale * (p_t_det + p_r_det))) ^ hit_t
-        if acc_t > 0.0:
-            hit_t |= rng.random(g) < acc_t
-        if acc_r > 0.0:
-            hit_r |= rng.random(g) < acc_r
+            arrived = rng.standard_exponential(g) < delay_cut
+            arrived_count = int(np.count_nonzero(arrived))
+            if promote > 0.0:
+                # Only a routed gate reads its own promotion draw.
+                missed = np.flatnonzero((hit_t | hit_r) > arrived)
+                promoted = missed[rng.random(missed.size) < promote]
+                arrived[promoted] = True
+                unread = g - arrived_count - missed.size
+                arrived_count += promoted.size + int(rng.binomial(unread, promote))
+            arrivals += arrived_count
+            hits &= arrived
+        _mark_events(rng, hits, acc_t, acc_r)
 
         n1 += g
-        arrivals += int(np.count_nonzero(arrived))
         nt += int(np.count_nonzero(hit_t))
         nr += int(np.count_nonzero(hit_r))
         nc += int(np.count_nonzero(hit_t & hit_r))
@@ -346,7 +488,8 @@ def sweep_curve(template: CascadeConfig, n_omega_values) -> list[SweepPoint]:
     Each point reuses the template with decay_rate = Nw / w and its own
     child seed, so the whole sweep is deterministic in the template seed.
     A zero Nw point is realized exactly by switching off accidental
-    collection, which makes the measured ratio structurally zero.
+    collection, which makes the measured ratio structurally zero; it runs
+    at the nominal rate 1 / w, so it does not depend on the other points.
     """
     values = [float(x) for x in n_omega_values]
     if any(x < 0.0 for x in values):
@@ -358,7 +501,9 @@ def sweep_curve(template: CascadeConfig, n_omega_values) -> list[SweepPoint]:
     points = []
     for x, seed in zip(values, seeds):
         if x == 0.0:
-            cfg = replace(template, accidental_collection=0.0, rng_seed=int(seed))
+            cfg = replace(
+                template, decay_rate=1.0 / template.gate, accidental_collection=0.0, rng_seed=int(seed)
+            )
         else:
             cfg = replace(template, decay_rate=x / template.gate, rng_seed=int(seed))
         rec = simulate(cfg)

@@ -245,9 +245,8 @@ def _cascade_template(args) -> tuple[cascade.CascadeConfig, list[float], float]:
         if args.accidental_collection is not None
         else float(config.get("accidental_collection", 1.0))
     )
-    reference = max([x for x in points if x > 0.0], default=1.0)
     template = cascade.CascadeConfig(
-        decay_rate=(n_omega if n_omega > 0.0 else reference) / gate,
+        decay_rate=(n_omega if n_omega > 0.0 else 1.0) / gate,
         lifetime=lifetime,
         gate=gate,
         correlation_factor=a,

@@ -122,7 +122,10 @@ def test_criterion_4_counting_curve(capsys):
         failures.append("analytic curve does not vanish at small Nw")
     if abs(cascade.g2_analytic(1e8, 0.9) - 1.0) >= 1e-6:
         failures.append("analytic curve does not reach 1 at large Nw")
-    points = cascade.sweep_curve(_cascade_template(), [0.01, 0.05, 0.1, 0.3, 0.9, 3.0])
+    # Five million gates per point, five times the other criteria's count,
+    # shrink each error bar by sqrt(5).
+    template = replace(_cascade_template(), target_gates=5 * 10**6)
+    points = cascade.sweep_curve(template, [0.01, 0.05, 0.1, 0.3, 0.9, 3.0])
     for p in points:
         bound = max(0.05 * p.alpha_analytic, 3.0 * p.stderr)
         gap = abs(p.alpha_mc - p.alpha_analytic)

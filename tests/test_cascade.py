@@ -91,6 +91,32 @@ def test_config_validation():
         _config(target_gates=0)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        # Only the config is built: a NaN gate count that got through would
+        # make simulate loop forever.
+        dict(target_gates=math.nan),
+        dict(target_gates=2.5),
+        dict(target_gates=1000.0),
+        dict(target_gates=True),
+        dict(rng_seed=1.5),
+        dict(rng_seed=True),
+    ],
+    ids=["nan gates", "2.5 gates", "float gates", "bool gates", "1.5 seed", "bool seed"],
+)
+def test_non_integer_gate_count_or_seed_raises_config_error(kwargs):
+    with pytest.raises(ConfigError, match="integer"):
+        _config(**kwargs)
+
+
+def test_numpy_integer_gate_count_and_seed_are_accepted():
+    cfg = _config(target_gates=np.int64(3000), rng_seed=np.uint32(4))
+    rec = simulate(cfg)
+    assert rec == simulate(_config(target_gates=3000, rng_seed=4))
+    assert type(rec.total_gates) is int
+
+
 @given(
     name=st.sampled_from(["decay_rate", "lifetime", "gate", "correlation_factor", "run_time"]),
     value=st.one_of(st.just(math.nan), st.just(math.inf), st.floats(max_value=0.0)),
@@ -236,6 +262,16 @@ def test_sweep_deterministic_with_exact_zero_point():
         assert p.gates == 20000
 
 
+def test_sweep_zero_point_does_not_depend_on_other_points():
+    # The template's rate must not reach the Nw = 0 point: under a run_time
+    # stop it would set that point's gate count as well as its source time.
+    template = _config(target_gates=None, run_time=2e-4, rng_seed=3)
+    (zero, _) = sweep_curve(replace(template, decay_rate=0.1 / 9.4e-9), [0.0, 0.1])
+    (again, _, _) = sweep_curve(replace(template, decay_rate=0.9 / 9.4e-9), [0.0, 0.1, 0.9])
+    assert zero == again
+    assert zero.alpha_mc == 0.0 and zero.gates > 0
+
+
 def test_sweep_rejects_negative_points():
     with pytest.raises(ConfigError):
         sweep_curve(_config(), [-0.1])
@@ -269,6 +305,83 @@ def test_run_time_bound_is_exact_and_deterministic(log_rate, epsilon_1, expected
     rec = simulate(cfg)
     assert rec.elapsed_sim_time <= cfg.run_time
     assert rec.elapsed_sim_time >= rec.total_gates * cfg.gate
+    assert simulate(cfg) == rec
+
+
+# ------------------------------------------------- sampler edge cases
+
+
+@pytest.mark.parametrize("mode", ["analytic", "physical"])
+def test_dark_arms_count_nothing(mode):
+    rec = simulate(_config(decay_rate=3.0 / 9.4e-9, epsilon_t=0.0, epsilon_r=0.0, arrival_mode=mode))
+    assert rec.nt_counts == rec.nr_counts == rec.nc_counts == 0
+
+
+@pytest.mark.parametrize("mode", ["analytic", "physical"])
+def test_certain_accidentals_fill_every_gate(mode):
+    # N w = 9.4e5 per gate: no arm escapes an accidental count, and the
+    # accidental probability 1 - e^(-N w p) rounds to exactly 1.
+    cfg = _config(decay_rate=1e14, arrival_mode=mode, target_gates=70_000)
+    assert gate_probabilities(cfg) == (1.0, 1.0, 1.0)
+    rec = simulate(cfg)
+    assert rec.nt_counts == rec.nr_counts == rec.nc_counts == 70_000
+
+
+def test_certain_arrival_reaches_every_gate():
+    cfg = _config(correlation_factor=correlation_for_f(1.0), epsilon_t=0.5, epsilon_r=0.5, target_gates=70_000)
+    assert f_omega(cfg) == pytest.approx(1.0, abs=1e-15)
+    assert simulate(cfg).trigger_arrivals == 70_000
+
+
+def test_run_time_stop_inside_first_leaf():
+    # One expected wait of source time: the stop falls among the first few
+    # gates, and for some seeds before the first gate ends.
+    cfg = _config(decay_rate=1e7, target_gates=None, run_time=1e-6)
+    records = [simulate(replace(cfg, rng_seed=seed)) for seed in range(40)]
+    empty = [rec for rec in records if rec.total_gates == 0]
+    assert empty and all(rec == CountRecord(0, 0, 0, 0, 0, 0, 0.0) for rec in empty)
+    for rec in records:
+        assert rec.total_gates < 20
+        assert rec.total_gates * cfg.gate <= rec.elapsed_sim_time <= cfg.run_time
+    assert any(rec.total_gates >= 2 for rec in records)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    log_n_omega=st.floats(-3.0, 6.0),
+    eps_t=st.floats(0.0, 1.0),
+    eps_r=st.floats(0.0, 1.0),
+    f=st.floats(F_BASE, 1.0),
+    mode=st.sampled_from(["analytic", "physical"]),
+    expected_gates=st.integers(1, 150_000),
+    by_time=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+def test_record_invariants_and_determinism(log_n_omega, eps_t, eps_r, f, mode, expected_gates, by_time, seed):
+    # Event probabilities from 0 to 1 put the sparse and dense draws on both
+    # sides of their crossover, and gate counts from 1 span small chunks.
+    cfg = _config(
+        decay_rate=10.0**log_n_omega / 9.4e-9,
+        correlation_factor=correlation_for_f(f) if f > F_BASE else 1.0,
+        epsilon_t=eps_t,
+        epsilon_r=eps_r,
+        arrival_mode=mode,
+        target_gates=expected_gates,
+        rng_seed=seed,
+    )
+    if by_time:
+        spacing = 1.0 / (cfg.decay_rate * cfg.epsilon_1) + cfg.gate
+        cfg = replace(cfg, target_gates=None, run_time=expected_gates * spacing)
+    rec = simulate(cfg)
+    if by_time:
+        assert rec.elapsed_sim_time <= cfg.run_time
+    else:
+        assert rec.total_gates == expected_gates
+    assert rec.nc_counts <= min(rec.nt_counts, rec.nr_counts)
+    assert max(rec.nt_counts, rec.nr_counts, rec.trigger_arrivals) <= rec.total_gates
+    assert rec.elapsed_sim_time >= rec.total_gates * cfg.gate
+    if eps_t == 0.0:
+        assert rec.nt_counts == 0
     assert simulate(cfg) == rec
 
 

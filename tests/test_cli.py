@@ -182,6 +182,18 @@ def test_cascade_sweep_with_isolated_point(tmp_path):
     assert elapsed[2] < elapsed[1]
 
 
+def test_cascade_sweep_zero_point_does_not_depend_on_other_points(tmp_path):
+    results = []
+    for points in ("0,0.1", "0,0.1,0.9"):
+        out = tmp_path / points
+        argv = ["--out-dir", str(out), "cascade", "--sweep", "--n-omega", "0", "--points", points]
+        assert main(argv + ["--gates", "2000"]) == 0
+        _, rows = _read_csv(out / "cascade_curve.csv")
+        elapsed = _manifest(out, "cascade")["counters"]["cascade"]["elapsed_sim_time"]
+        results.append((rows[0], elapsed[0]))
+    assert results[0] == results[1]
+
+
 def test_cascade_config_conflicts(tmp_path, capsys):
     config = tmp_path / "cascade.json"
     config.write_text(json.dumps({"correlation_factor": 5.0}))
