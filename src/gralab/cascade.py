@@ -14,7 +14,7 @@ the paired photon is counted form two more, exclusive of each other.
 At the experiment's operating point a counter fires in a few percent of
 gates, so the sampler draws each event set sparsely, as a Poisson number
 of marks on random gates, and compares one uniform per gate only where a
-fixed cost model says that is cheaper.  The same independence gives the
+set's mean marks per gate make that cheaper.  The same independence gives the
 exact per-gate probabilities at finite efficiency (gate_probabilities)
 and the exact ratio (exact_alpha) that the Monte Carlo converges to.  The source
 time between gates is exponential, but the counters never read a single
@@ -37,13 +37,11 @@ _CHUNK = 65536
 # A run_time stop is located by halving its chunk down to at most this
 # many gates, whose waits are then drawn one by one.
 _LEAF = 256
-# Measured costs (2 CPUs, numpy 2.4) that decide how a row of gates
-# draws an event set: one uniform per gate, or a Poisson number of marks
-# on random gates; each way also pays a fixed cost per row.
-_NS_PER_UNIFORM = 5.0
-_NS_PER_DENSE_ROW = 4000.0
-_NS_PER_MARK = 10.0
-_NS_PER_SPARSE_ROW = 6000.0
+# Largest mean marks per gate at which a row draws its event set as marks
+# on random gates rather than one uniform per gate: the measured cost of a
+# uniform over that of a placed mark (about 5 ns against 10 ns on 2 CPUs,
+# numpy 2.4).
+_SPARSE_MAX_MEAN = 0.5
 
 
 class ConfigError(ValueError):
@@ -227,14 +225,6 @@ def _events_lambda(p: float) -> float:
     return -math.log1p(-p) if p < 1.0 else math.inf
 
 
-def _sparse_is_cheaper(uniforms: int, marks: float, rows: int = 1) -> bool:
-    """Whether placing this many marks in this many rows of gates costs
-    less than drawing one row of this many uniforms, by the measured
-    per-draw costs."""
-    sparse = rows * _NS_PER_SPARSE_ROW + marks * _NS_PER_MARK
-    return sparse < _NS_PER_DENSE_ROW + uniforms * _NS_PER_UNIFORM
-
-
 def _mark_events(rng: np.random.Generator, hits: np.ndarray, lam_t: float, lam_r: float) -> None:
     """Or into the two rows of hits, one per arm, independent event sets:
     each gate is set in a row with probability 1 - e^(-lam), independently
@@ -243,16 +233,17 @@ def _mark_events(rng: np.random.Generator, hits: np.ndarray, lam_t: float, lam_r
     A sparse set is a Poisson number of marks of mean g lam, each on the
     gate floor(g u) for a uniform u, which is as fine-grained as comparing
     u with a probability.  By Poisson splitting the gates' mark counts are
-    independent Poisson variates of mean lam.  A row where the cost model
-    says it is cheaper compares one uniform per gate with 1 - e^(-lam)
-    instead; the sparse rows share one draw of mark positions.
+    independent Poisson variates of mean lam.  A row whose mean exceeds
+    _SPARSE_MAX_MEAN compares one uniform per gate with 1 - e^(-lam)
+    instead; the sparse rows share one draw of mark positions, which saves
+    a generator call.
     """
     g = hits.shape[1]
     counts = [0, 0]
     for i, lam in enumerate((lam_t, lam_r)):
         if lam <= 0.0:
             continue
-        if _sparse_is_cheaper(g, g * lam):
+        if lam <= _SPARSE_MAX_MEAN:
             counts[i] = int(rng.poisson(g * lam))
         else:
             hits[i] |= rng.random(g) < -math.expm1(-lam)
@@ -269,19 +260,12 @@ def _route(rng: np.random.Generator, hits: np.ndarray, lam_t: float, lam_r: floa
     probability 1 - e^(-lam_t) and the second, among the other gates, with
     probability 1 - e^(-lam_r).
 
-    Sparse, the second row is the event set of mean lam_r with the gates
-    of the first removed; dense, one uniform per gate decides both, as
-    u < 1 - e^(-lam_t) or 1 - e^(-lam_t) <= u < 1 - e^(-lam_t - lam_r).
+    The second row is the event set of mean lam_r with the gates of the
+    first removed.
     """
-    g = hits.shape[1]
-    if _sparse_is_cheaper(g, g * (lam_t + lam_r), rows=2):
-        hits.fill(False)
-        _mark_events(rng, hits, lam_t, lam_r)
-        np.greater(hits[1], hits[0], out=hits[1])
-    else:
-        bounds = ((-math.expm1(-lam_t),), (-math.expm1(-lam_t - lam_r),))
-        np.less(rng.random(g), bounds, out=hits)
-        hits[1] ^= hits[0]
+    hits.fill(False)
+    _mark_events(rng, hits, lam_t, lam_r)
+    np.greater(hits[1], hits[0], out=hits[1])
 
 
 def _gates_by_stop(
@@ -490,6 +474,10 @@ def sweep_curve(template: CascadeConfig, n_omega_values) -> list[SweepPoint]:
     A zero Nw point is realized exactly by switching off accidental
     collection, which makes the measured ratio structurally zero; it runs
     at the nominal rate 1 / w, so it does not depend on the other points.
+    Under a run_time stop that point then has about the gate count of an
+    Nw = 1 point: with epsilon_1 = 0.1 and the points [0, 0.01], about 90
+    times the gates of the 0.01 point.  A run_time too short for one
+    expected gate at that rate raises ConfigError, as for any other point.
     """
     values = [float(x) for x in n_omega_values]
     if any(x < 0.0 for x in values):

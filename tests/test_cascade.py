@@ -272,6 +272,16 @@ def test_sweep_zero_point_does_not_depend_on_other_points():
     assert zero.alpha_mc == 0.0 and zero.gates > 0
 
 
+def test_sweep_zero_point_needs_one_expected_gate_at_its_own_rate():
+    # N epsilon_1 run_time is 50 at Nw = 100 (epsilon_1 = 0.1, run_time
+    # 5 w), but 0.5 for the zero point, which runs at 1 / w.
+    w = 9.4e-9
+    template = _config(decay_rate=100.0 / w, target_gates=None, run_time=5.0 * w)
+    assert sweep_curve(template, [100.0])[0].gates > 0
+    with pytest.raises(ConfigError, match="one expected gate"):
+        sweep_curve(template, [0.0, 100.0])
+
+
 def test_sweep_rejects_negative_points():
     with pytest.raises(ConfigError):
         sweep_curve(_config(), [-0.1])
