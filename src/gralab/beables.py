@@ -8,8 +8,8 @@ magnetic, and intensity beables at spacetime points, in the divided region
 relative phase phi), together with the field quantum potential, the mode
 wave-equation residual, and the conserved energy.
 
-Natural units: hbar and c default to 1 and every quantity is expressed in
-them; the wavenumber of the excited pair sets the frequency scale.
+Natural units: hbar = c = 1 throughout, so neither appears in a signature
+or a formula; the wavenumber of the excited pair sets the frequency scale.
 """
 
 from __future__ import annotations
@@ -143,36 +143,29 @@ def _weights(phi: float | None) -> tuple[float, float]:
     return 1.0 + math.cos(phi), 1.0 - math.cos(phi)
 
 
-def _flux(volume: float, hbar: float, c: float) -> float:
-    """hbar c^2 / V; a NaN volume fails the comparison and is rejected."""
+def _flux(volume: float) -> float:
+    """1 / V; a NaN volume fails the comparison and is rejected."""
     if not 0.0 < volume < math.inf:
         raise ValueError("quantization volume must be positive and finite")
-    return hbar * c**2 / volume
+    return 1.0 / volume
 
 
-def mode_frequencies(
-    pair: ModePair, hbar: float = 1.0, c: float = 1.0, *, phi: float | None = None
-) -> tuple[float, float]:
-    """Nonclassical rotation frequencies hbar c^2 w / (4 amp^2) per mode.
+def mode_frequencies(pair: ModePair, *, phi: float | None = None) -> tuple[float, float]:
+    """Nonclassical rotation frequencies w / (4 amp^2) per mode.
 
     The weights w are 1 in the divided region (phi None).  At interferometer
     phase phi the recombined beam c carries 1 + cos(phi) and beam d
     1 - cos(phi), so an extinguished beam also stops rotating.
     """
     w_a, w_b = _weights(phi)
-    return (
-        hbar * c**2 * w_a / (4.0 * pair.amp_a**2),
-        hbar * c**2 * w_b / (4.0 * pair.amp_b**2),
-    )
+    return w_a / (4.0 * pair.amp_a**2), w_b / (4.0 * pair.amp_b**2)
 
 
-def region1_equations_of_motion(
-    q_a: complex, q_b: complex, hbar: float = 1.0, c: float = 1.0
-) -> tuple[complex, complex]:
+def region1_equations_of_motion(q_a: complex, q_b: complex) -> tuple[complex, complex]:
     """Starred-coordinate velocities (dq_a*/dt, dq_b*/dt).
 
     Both coordinates are driven by the shared denominator q_a - i q_b:
-    dq_a*/dt = (hbar c^2 / 2) i / (q_a - i q_b) and dq_b*/dt the same
+    dq_a*/dt = (i / 2) / (q_a - i q_b) and dq_b*/dt the same
     without the i.  Raises SingularDenominator on the ray where the
     denominator vanishes.
     """
@@ -180,13 +173,13 @@ def region1_equations_of_motion(
     scale = max(1.0, abs(q_a), abs(q_b))
     if abs(denom) < 1e-12 * scale:
         raise SingularDenominator("q_a - i q_b vanished")
-    common = 0.5 * hbar * c**2 / denom
+    common = 0.5 / denom
     return 1j * common, common
 
 
-def _start(pair: ModePair, hbar: float, c: float):
+def _start(pair: ModePair):
     """Starting q_a* and q_b*, their combination w0 = q_a* + i q_b*, and the
-    frequency hbar c^2 / |w0|^2 at which w0 turns.  Raises SingularDenominator
+    frequency 1 / |w0|^2 at which w0 turns.  Raises SingularDenominator
     when w0 vanishes, where the equations of motion are undefined."""
     a0 = pair.amp_a * np.exp(1j * pair.phase_a)
     b0 = pair.amp_b * np.exp(1j * pair.phase_b)
@@ -194,35 +187,35 @@ def _start(pair: ModePair, hbar: float, c: float):
     h2 = abs(w0) ** 2
     if h2 < 1e-24:
         raise SingularDenominator("q_a - i q_b vanishes at the start")
-    return a0, b0, w0, hbar * c**2 / h2
+    return a0, b0, w0, 1.0 / h2
 
 
-def analytic_region1(pair: ModePair, times, hbar: float = 1.0, c: float = 1.0):
+def analytic_region1(pair: ModePair, times):
     """Closed-form starred coordinates (q_a*(t), q_b*(t)) for any start.
 
-    The combination w* = q_a* + i q_b* rotates rigidly at hbar c^2 / |w|^2
+    The combination w* = q_a* + i q_b* rotates rigidly at 1 / |w|^2
     while the orthogonal combination stays fixed, so each coordinate moves
     on a circle about an offset center.  Vectorized over times.
     """
     t = np.asarray(times, dtype=float)
-    a0, b0, w0, omega = _start(pair, hbar, c)
+    a0, b0, w0, omega = _start(pair)
     turn = np.exp(1j * omega * t) - 1.0
     return a0 + 0.5 * w0 * turn, b0 - 0.5j * w0 * turn
 
 
-def is_single_frequency(pair: ModePair, tol: float = 1e-9) -> bool:
+def is_single_frequency(pair: ModePair) -> bool:
     """True when the pair sits on the rigid-rotation manifold.
 
     Requires equal amplitudes and a phase offset of a quarter cycle,
-    phase_a - phase_b = pi/2 (mod 2 pi).
+    phase_a - phase_b = pi/2 (mod 2 pi), both to within 1e-9.
     """
-    if abs(pair.amp_a - pair.amp_b) > tol * max(pair.amp_a, pair.amp_b):
+    if abs(pair.amp_a - pair.amp_b) > 1e-9 * max(pair.amp_a, pair.amp_b):
         return False
     d = (pair.phase_a - pair.phase_b - math.pi / 2.0) % (2.0 * math.pi)
-    return min(d, 2.0 * math.pi - d) <= tol
+    return min(d, 2.0 * math.pi - d) <= 1e-9
 
 
-def single_frequency_solution(pair: ModePair, times, hbar: float = 1.0, c: float = 1.0):
+def single_frequency_solution(pair: ModePair, times):
     """Rigid-rotation solution q*(t) = amp e^(i (omega t + phase)).
 
     Valid only on the single-frequency manifold; elsewhere the coupled
@@ -231,7 +224,7 @@ def single_frequency_solution(pair: ModePair, times, hbar: float = 1.0, c: float
     if not is_single_frequency(pair):
         raise ValueError("pair is off the single-frequency manifold")
     t = np.asarray(times, dtype=float)
-    omega, _ = mode_frequencies(pair, hbar, c)
+    omega, _ = mode_frequencies(pair)
     return (
         pair.amp_a * np.exp(1j * (omega * t + pair.phase_a)),
         pair.amp_b * np.exp(1j * (omega * t + pair.phase_b)),
@@ -247,13 +240,7 @@ class ModeTrajectory:
     q_b: np.ndarray
 
 
-def integrate_region1(
-    pair: ModePair,
-    t_end: float,
-    dt: float | None = None,
-    hbar: float = 1.0,
-    c: float = 1.0,
-) -> ModeTrajectory:
+def integrate_region1(pair: ModePair, t_end: float, dt: float | None = None) -> ModeTrajectory:
     """Integrate the coupled equations of motion with fixed-step RK4.
 
     The default step resolves the fastest of the mode frequencies and the
@@ -262,8 +249,8 @@ def integrate_region1(
     """
     if not 0.0 <= t_end < math.inf:
         raise ValueError("end time must be nonnegative and finite")
-    omega_a, omega_b = mode_frequencies(pair, hbar, c)
-    a0, b0, _, omega_turn = _start(pair, hbar, c)
+    omega_a, omega_b = mode_frequencies(pair)
+    a0, b0, _, omega_turn = _start(pair)
     fastest = max(omega_a, omega_b, omega_turn)
     cycle = 2.0 * math.pi / fastest
     if dt is None:
@@ -274,7 +261,7 @@ def integrate_region1(
         raise StepTooLarge(f"step {dt:.3e} exceeds an eighth of the fastest cycle {cycle:.3e}")
 
     def deriv(y_a: complex, y_b: complex) -> tuple[complex, complex]:
-        return region1_equations_of_motion(y_a.conjugate(), y_b.conjugate(), hbar, c)
+        return region1_equations_of_motion(y_a.conjugate(), y_b.conjugate())
 
     # Python complex scalars: a step costs a quarter of one on 2-element arrays.
     y_a, y_b = complex(a0), complex(b0)
@@ -341,21 +328,14 @@ class VacuumModes:
         _freeze(self, _curls=np.cross(self.k_vectors, self.pols))
 
     @classmethod
-    def sample_ground_state(
-        cls,
-        k_vectors,
-        pols,
-        rng: np.random.Generator,
-        hbar: float = 1.0,
-        c: float = 1.0,
-    ) -> "VacuumModes":
+    def sample_ground_state(cls, k_vectors, pols, rng: np.random.Generator) -> "VacuumModes":
         """Draw coordinates from the ground-state modulus squared.
 
         Each complex coordinate is Gaussian with per-quadrature variance
-        hbar c / (4 |k|).
+        1 / (4 |k|).
         """
         k_vectors = np.atleast_2d(np.asarray(k_vectors, dtype=float))
-        std = np.sqrt(hbar * c / (4.0 * np.linalg.norm(k_vectors, axis=1)))
+        std = np.sqrt(1.0 / (4.0 * np.linalg.norm(k_vectors, axis=1)))
         coords = std * (rng.standard_normal(len(std)) + 1j * rng.standard_normal(len(std)))
         return cls(k_vectors=k_vectors, pols=pols, coords=coords)
 
@@ -373,71 +353,54 @@ class BeableFrame:
     intensity: np.ndarray
 
 
-def _frames(pair, weights, x, t, volume, vacuum, reference_pol, hbar, c) -> BeableFrame:
+def _frames(pair, weights, x, t, volume, vacuum) -> BeableFrame:
     """Beables of the two beams with weights (w_a, w_b) plus the background.
 
     A weight scales its beam's frequency, electric field and intensity:
     (1, 1) is the divided region, (1 + cos phi, 1 - cos phi) the recombined
     one.  Points x have shape (..., 3) and times t broadcast against x[..., 0].
     """
-    flux = _flux(volume, hbar, c)
+    flux = _flux(volume)
     x = np.asarray(x, dtype=float)
     w = np.array(weights)
     rv = math.sqrt(volume)
-    omega = (hbar * c**2 / 4.0) * w / pair._amp**2
+    omega = 0.25 * w / pair._amp**2
     theta = x @ pair._k.T - np.multiply.outer(t, omega) - pair._phase
     cos, sin = np.cos(theta), np.sin(theta)
 
     a_field = (cos * ((2.0 / rv) * pair._amp)) @ pair._pol
-    e_field = (sin * ((-hbar * c / (2.0 * rv)) * w / pair._amp)) @ pair._pol
+    e_field = (sin * ((-1.0 / (2.0 * rv)) * w / pair._amp)) @ pair._pol
     b_field = (sin * ((-2.0 / rv) * pair._amp)) @ pair._curl
     # The oscillating factor (1 - cos 2 theta) / 2 of each beam, as sin^2 theta.
     intensity = (sin**2 * (flux * w)) @ pair._k
     if vacuum is not None:
         # Static standing waves: u = 2 Re(q e^(i k.x)) pol, v = curl u, and
-        # the cross term hbar c^2 (ref x v) weighted by the beams' sin theta.
+        # the cross term (pol_a x v) weighted by the beams' sin theta.
         waves = vacuum.coords * np.exp(1j * (x @ vacuum.k_vectors.T))
         v = (-2.0 * waves.imag) @ vacuum._curls
         a_field = a_field + (2.0 / rv) * (waves.real @ vacuum.pols)
         b_field = b_field + v / rv
-        cross = pair._pol_a_cross if reference_pol is None else _cross_matrix(reference_pol)
         g = (sin @ w)[..., None]
-        intensity = intensity - flux * g * (v @ cross)
+        intensity = intensity - flux * g * (v @ pair._pol_a_cross)
     return BeableFrame(a_field, e_field, b_field, intensity)
 
 
 def beables_region1(
-    pair: ModePair,
-    x,
-    t: float,
-    volume: float = 1.0,
-    vacuum: VacuumModes | None = None,
-    reference_pol=None,
-    hbar: float = 1.0,
-    c: float = 1.0,
+    pair: ModePair, x, t: float, volume: float = 1.0, vacuum: VacuumModes | None = None
 ) -> BeableFrame:
     """Field beables in the divided region, two beams plus background.
 
     The electric field scales inversely with each amplitude because the
-    mode frequency does; with the frequency law hbar c^2 / (4 amp^2) the
-    frame satisfies E = -(1/c) dA/dt and B = curl A identically.  Points
-    x may be an array of shape (..., 3), with times t broadcast against
-    x[..., 0].  The background's intensity cross term is taken against
-    reference_pol, by default beam a's polarization.
+    mode frequency does; with the frequency law 1 / (4 amp^2) the frame
+    satisfies E = -dA/dt and B = curl A identically.  Points x may be an
+    array of shape (..., 3), with times t broadcast against x[..., 0].  The
+    background's intensity cross term is taken against beam a's polarization.
     """
-    return _frames(pair, _weights(None), x, t, volume, vacuum, reference_pol, hbar, c)
+    return _frames(pair, _weights(None), x, t, volume, vacuum)
 
 
 def beables_region2(
-    pair: ModePair,
-    phi: float,
-    x,
-    t: float,
-    volume: float = 1.0,
-    vacuum: VacuumModes | None = None,
-    reference_pol=None,
-    hbar: float = 1.0,
-    c: float = 1.0,
+    pair: ModePair, phi: float, x, t: float, volume: float = 1.0, vacuum: VacuumModes | None = None
 ) -> BeableFrame:
     """Field beables in the recombined region at interferometer phase phi.
 
@@ -448,33 +411,25 @@ def beables_region2(
     At phi = pi/2 both weights are 1 and the frame is the divided region's.
     Points and times batch as in beables_region1.
     """
-    return _frames(pair, _weights(phi), x, t, volume, vacuum, reference_pol, hbar, c)
+    return _frames(pair, _weights(phi), x, t, volume, vacuum)
 
 
-def average_intensity(
-    pair: ModePair,
-    phi: float | None = None,
-    volume: float = 1.0,
-    hbar: float = 1.0,
-    c: float = 1.0,
-) -> np.ndarray:
-    """Cycle-averaged intensity vector (hbar c^2 / 2V)(w_a k_a + w_b k_b).
+def average_intensity(pair: ModePair, phi: float | None = None, volume: float = 1.0) -> np.ndarray:
+    """Cycle-averaged intensity vector (1 / 2V)(w_a k_a + w_b k_b).
 
     The weights are those of mode_frequencies: phi None is the divided
     region, a phase the recombined one.  The oscillatory and background
     cross terms average to zero, so the result is amplitude-independent.
     """
     w_a, w_b = _weights(phi)
-    return _flux(volume, hbar, c) / 2.0 * (pair.k_a * w_a + pair.k_b * w_b)
+    return _flux(volume) / 2.0 * (pair.k_a * w_a + pair.k_b * w_b)
 
 
-def beam_intensity_curves(
-    pair: ModePair, phis, volume: float = 1.0, hbar: float = 1.0, c: float = 1.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Averaged intensity magnitudes (hbar c^2 / 2V) k0 (1 +- cos phi) along
+def beam_intensity_curves(pair: ModePair, phis, volume: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Averaged intensity magnitudes (1 / 2V) k0 (1 +- cos phi) along
     the recombined beams c and d, across a phase sweep."""
     cos = np.cos(np.asarray(phis, dtype=float))
-    scale = _flux(volume, hbar, c) / 2.0 * pair.k0
+    scale = _flux(volume) / 2.0 * pair.k0
     return scale * (1.0 + cos), scale * (1.0 - cos)
 
 
@@ -512,51 +467,44 @@ class ModulusEvaluator:
     weights: tuple[float, float] = (2.0, 2.0)
 
 
-def region1_modulus(pair: ModePair, hbar: float = 1.0, c: float = 1.0) -> ModulusEvaluator:
+def region1_modulus(pair: ModePair) -> ModulusEvaluator:
     """Modulus of the divided-region single-excitation state.
 
-    R = |q_a - i q_b| exp(-(k0 / hbar c)(|q_a|^2 + |q_b|^2)) over the two
+    R = |q_a - i q_b| exp(-k0 (|q_a|^2 + |q_b|^2)) over the two
     excited coordinates, each weighted twice for its -k partner.
     """
-    lam = pair.k0 / (hbar * c)
+    k0 = pair.k0
 
     def fn(q_a: complex, q_b: complex) -> float:
         rho2 = abs(q_a) ** 2 + abs(q_b) ** 2
-        return abs(q_a - 1j * q_b) * math.exp(-lam * rho2)
+        return abs(q_a - 1j * q_b) * math.exp(-k0 * rho2)
 
     return ModulusEvaluator(fn=fn, weights=(2.0, 2.0))
 
 
-def single_mode_ground_state(kappa: float, hbar: float = 1.0, c: float = 1.0) -> ModulusEvaluator:
-    """Ground-state modulus exp(-(kappa / hbar c)|q|^2) of one coordinate."""
+def single_mode_ground_state(kappa: float) -> ModulusEvaluator:
+    """Ground-state modulus exp(-kappa |q|^2) of one coordinate."""
     if kappa <= 0.0:
         raise ValueError("wavenumber must be positive")
-    lam = kappa / (hbar * c)
 
     def fn(q_a: complex, q_b: complex) -> float:
-        return math.exp(-lam * abs(q_a) ** 2)
+        return math.exp(-kappa * abs(q_a) ** 2)
 
     return ModulusEvaluator(fn=fn, weights=(1.0, 0.0))
 
 
 def quantum_potential(
-    state: ModulusEvaluator,
-    q_a: complex,
-    q_b: complex,
-    hbar: float = 1.0,
-    c: float = 1.0,
-    step: float = 1e-5,
-    node_tol: float = 1e-12,
+    state: ModulusEvaluator, q_a: complex, q_b: complex, step: float = 1e-5
 ) -> float:
-    """Field quantum potential -(hbar^2 c^2 / 2 R) sum_i w_i d2R/dq_i* dq_i.
+    """Field quantum potential -(1 / 2 R) sum_i w_i d2R/dq_i* dq_i.
 
     The mixed derivative is a quarter of the flat Laplacian over the real
     and imaginary parts of each coordinate, evaluated by central finite
     differences with a relative step.  Raises NodeError where the modulus
-    vanishes.
+    vanishes (falls to 1e-12 or below).
     """
     r0 = state.fn(q_a, q_b)
-    if not math.isfinite(r0) or r0 <= node_tol:
+    if not math.isfinite(r0) or r0 <= 1e-12:
         raise NodeError("modulus vanishes; quantum potential undefined")
     q = [complex(q_a), complex(q_b)]
     curvature = 0.0
@@ -571,113 +519,94 @@ def quantum_potential(
             samples += state.fn(shifted[0], shifted[1])
         lap = (samples - 4.0 * r0) / h**2
         curvature += w * lap / 4.0
-    return -(hbar**2 * c**2 / 2.0) * curvature / r0
+    return -0.5 * curvature / r0
 
 
-def wave_equation_residual(
-    pair: ModePair,
-    t: float,
-    hbar: float = 1.0,
-    c: float = 1.0,
-    inner_step: float = 1e-4,
-    outer_step: float = 3e-3,
-) -> float:
+def wave_equation_residual(pair: ModePair, t: float) -> float:
     """Relative residual of the mode wave equation along a trajectory.
 
-    Checks (1/c^2) d2q*/dt2 + k0^2 q* + dQ/dq = 0 at the closed-form
-    trajectory point for time t, with the quantum-potential gradient taken
-    by nested finite differences (inner step inside Q, wider outer step
+    Checks d2q*/dt2 + k0^2 q* + dQ/dq = 0 at the closed-form trajectory
+    point for time t, with the quantum-potential gradient taken by nested
+    finite differences (inner step 1e-4 inside Q, wider outer step 3e-3
     for the gradient so the noise stays below the reported scale).
     """
-    qa_star, qb_star = analytic_region1(pair, t, hbar, c)
+    qa_star, qb_star = analytic_region1(pair, t)
     qa_star = complex(qa_star)
     qb_star = complex(qb_star)
     q_a = np.conj(qa_star)
     q_b = np.conj(qb_star)
     w = q_a - 1j * q_b
     denom = w**2 * np.conj(w)
-    d2_a = -(hbar**2 * c**4 / 2.0) / denom
-    d2_b = (1j * hbar**2 * c**4 / 2.0) / denom
+    d2_a = -0.5 / denom
+    d2_b = 0.5j / denom
 
-    state = region1_modulus(pair, hbar, c)
+    state = region1_modulus(pair)
 
     def grad(idx: int) -> complex:
         base = q_a if idx == 0 else q_b
-        h = outer_step * max(1.0, abs(base))
+        h = 3e-3 * max(1.0, abs(base))
 
         def q_at(delta: complex) -> float:
             args = [q_a, q_b]
             args[idx] = base + delta
-            return quantum_potential(state, args[0], args[1], hbar, c, step=inner_step)
+            return quantum_potential(state, args[0], args[1], step=1e-4)
 
         d_re = (q_at(h) - q_at(-h)) / (2.0 * h)
         d_im = (q_at(1j * h) - q_at(-1j * h)) / (2.0 * h)
         return 0.5 * (d_re - 1j * d_im)
 
     k2 = pair.k0**2
-    res_a = d2_a / c**2 + k2 * qa_star + grad(0)
-    res_b = d2_b / c**2 + k2 * qb_star + grad(1)
-    scale = max(
-        abs(d2_a) / c**2,
-        abs(d2_b) / c**2,
-        k2 * abs(qa_star),
-        k2 * abs(qb_star),
-        1e-30,
-    )
+    res_a = d2_a + k2 * qa_star + grad(0)
+    res_b = d2_b + k2 * qb_star + grad(1)
+    scale = max(abs(d2_a), abs(d2_b), k2 * abs(qa_star), k2 * abs(qb_star), 1e-30)
     return float(math.hypot(abs(res_a), abs(res_b)) / scale)
 
 
-def total_energy(
-    pair: ModePair,
-    t: float = 0.0,
-    hbar: float = 1.0,
-    c: float = 1.0,
-    step: float = 1e-5,
-) -> float:
+def total_energy(pair: ModePair, t: float = 0.0) -> float:
     """Kinetic plus oscillator plus quantum-potential energy at time t.
 
-    Each coordinate contributes w (|dq*/dt|^2 / 2c^2 + k0^2 |q|^2 / 2)
+    Each coordinate contributes w (|dq*/dt|^2 / 2 + k0^2 |q|^2 / 2)
     with its mode weight; adding the quantum potential makes the total a
     constant of the motion for every trajectory of the coupled equations.
     """
-    qa_star, qb_star = analytic_region1(pair, t, hbar, c)
+    qa_star, qb_star = analytic_region1(pair, t)
     q_a = complex(np.conj(qa_star))
     q_b = complex(np.conj(qb_star))
-    da, db = region1_equations_of_motion(q_a, q_b, hbar, c)
-    state = region1_modulus(pair, hbar, c)
+    da, db = region1_equations_of_motion(q_a, q_b)
+    state = region1_modulus(pair)
     weights = state.weights
     k2 = pair.k0**2
-    kinetic = (abs(da) ** 2 * weights[0] + abs(db) ** 2 * weights[1]) / (2.0 * c**2)
+    kinetic = (abs(da) ** 2 * weights[0] + abs(db) ** 2 * weights[1]) / 2.0
     oscillator = k2 * (abs(q_a) ** 2 * weights[0] + abs(q_b) ** 2 * weights[1]) / 2.0
-    return kinetic + oscillator + quantum_potential(state, q_a, q_b, hbar, c, step=step)
+    return kinetic + oscillator + quantum_potential(state, q_a, q_b)
 
 
-# Rows of the shifted evaluations: the point itself, t +- dt, x + dx e_j, x - dx e_j.
-_TIME_SHIFTS = np.array([0.0, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-_POINT_SHIFTS = np.concatenate([np.zeros((3, 3)), np.eye(3), -np.eye(3)])
+# Rows of the shifted evaluations: the point itself, t +- h, x + h e_j, x - h e_j,
+# for the central-difference step h in time and in each coordinate.
+_STEP = 1e-5
+_TIME_SHIFTS = _STEP * np.array([0.0, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+_POINT_SHIFTS = _STEP * np.concatenate([np.zeros((3, 3)), np.eye(3), -np.eye(3)])
 
 
-def _frame_consistency(pair, weights, x, t, volume, vacuum, hbar, c, dt, dx):
+def _frame_consistency(pair, weights, x, t, volume, vacuum):
     # One kernel call evaluates the point and its eight shifts.  Errors are
     # measured against the field envelopes so points where a component
     # passes through zero do not blow up the relative error.
     x = np.asarray(x, dtype=float)
-    frames = _frames(
-        pair, weights, x + dx * _POINT_SHIFTS, t + dt * _TIME_SHIFTS, volume, vacuum, None, hbar, c
-    )
+    frames = _frames(pair, weights, x + _POINT_SHIFTS, t + _TIME_SHIFTS, volume, vacuum)
     a = frames.vector_potential
     e_field = frames.electric_field[0]
     b_field = frames.magnetic_field[0]
     rv = math.sqrt(volume)
-    e_floor = hbar * c / (2.0 * rv) * (weights[0] / pair.amp_a + weights[1] / pair.amp_b)
+    e_floor = 1.0 / (2.0 * rv) * (weights[0] / pair.amp_a + weights[1] / pair.amp_b)
     b_floor = 2.0 * pair.k0 * (pair.amp_a + pair.amp_b) / rv
 
-    e_fd = -(a[1] - a[2]) / (2.0 * dt * c)
+    e_fd = -(a[1] - a[2]) / (2.0 * _STEP)
     e_scale = max(float(np.linalg.norm(e_field)), e_floor, 1e-30)
     e_err = float(np.linalg.norm(e_fd - e_field)) / e_scale
 
     # partial[j, k] = dA_k/dx_j; curl_i = partial[j, k] - partial[k, j] for cyclic (i, j, k).
-    partial = (a[3:6] - a[6:9]) / (2.0 * dx)
+    partial = (a[3:6] - a[6:9]) / (2.0 * _STEP)
     curl = partial[[1, 2, 0], [2, 0, 1]] - partial[[2, 0, 1], [1, 2, 0]]
     b_scale = max(float(np.linalg.norm(b_field)), b_floor, 1e-30)
     b_err = float(np.linalg.norm(curl - b_field)) / b_scale
@@ -685,31 +614,14 @@ def _frame_consistency(pair, weights, x, t, volume, vacuum, hbar, c, dt, dx):
 
 
 def frame_consistency_region1(
-    pair: ModePair,
-    x,
-    t: float,
-    volume: float = 1.0,
-    vacuum: VacuumModes | None = None,
-    hbar: float = 1.0,
-    c: float = 1.0,
-    dt: float = 1e-5,
-    dx: float = 1e-5,
+    pair: ModePair, x, t: float, volume: float = 1.0, vacuum: VacuumModes | None = None
 ) -> tuple[float, float]:
-    """Relative errors of (E vs -(1/c) dA/dt, B vs curl A) in the divided region."""
-    return _frame_consistency(pair, _weights(None), x, t, volume, vacuum, hbar, c, dt, dx)
+    """Relative errors of (E vs -dA/dt, B vs curl A) in the divided region."""
+    return _frame_consistency(pair, _weights(None), x, t, volume, vacuum)
 
 
 def frame_consistency_region2(
-    pair: ModePair,
-    phi: float,
-    x,
-    t: float,
-    volume: float = 1.0,
-    vacuum: VacuumModes | None = None,
-    hbar: float = 1.0,
-    c: float = 1.0,
-    dt: float = 1e-5,
-    dx: float = 1e-5,
+    pair: ModePair, phi: float, x, t: float, volume: float = 1.0, vacuum: VacuumModes | None = None
 ) -> tuple[float, float]:
-    """Relative errors of (E vs -(1/c) dA/dt, B vs curl A) in the recombined region."""
-    return _frame_consistency(pair, _weights(phi), x, t, volume, vacuum, hbar, c, dt, dx)
+    """Relative errors of (E vs -dA/dt, B vs curl A) in the recombined region."""
+    return _frame_consistency(pair, _weights(phi), x, t, volume, vacuum)

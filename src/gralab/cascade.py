@@ -324,7 +324,8 @@ def simulate(cfg: CascadeConfig) -> CountRecord:
     whose waits are drawn one by one (_gates_by_stop), and
     elapsed_sim_time is the end of the last gate to end by run_time.  The
     joint law of gate count and elapsed time is that of drawing every
-    wait.  Deterministic for a fixed configuration.
+    wait.  One generator, seeded with rng_seed, is advanced across the
+    chunks, so the run is deterministic for a fixed configuration.
     """
     f = f_omega(cfg)
     analytic = cfg.arrival_mode == "analytic"
@@ -349,7 +350,7 @@ def simulate(cfg: CascadeConfig) -> CountRecord:
         if a > 1.0 and p_short < 1.0:
             promote = min(1.0, (a - 1.0) * p_short / (1.0 - p_short))
 
-    root = np.random.SeedSequence(cfg.rng_seed)
+    rng = np.random.default_rng(cfg.rng_seed)
     n1 = nt = nr = nc = arrivals = 0
     elapsed = 0.0
     remaining = cfg.target_gates
@@ -364,7 +365,6 @@ def simulate(cfg: CascadeConfig) -> CountRecord:
             g = min(_CHUNK, remaining)
         else:
             g = _CHUNK
-        rng = np.random.Generator(np.random.PCG64(root.spawn(1)[0]))
 
         # The sum of g exponential waits is Gamma(g, wait_scale).
         total_wait = rng.gamma(g, wait_scale)

@@ -217,8 +217,35 @@ def cmd_classical(args, out_dir: Path) -> int:
     return 0
 
 
+# The keys a cascade --config file may set: JSON numbers, then the Nw sweep
+# list and the arrival mode.
+_CASCADE_NUMBER_KEYS = (
+    "lifetime", "lifetime_ns", "gate", "gate_ns", "correlation_factor", "f_target",
+    "n_omega", "epsilon_1", "epsilon_t", "epsilon_r", "transmittance", "accidental_collection",
+)
+_CASCADE_KEYS = (*_CASCADE_NUMBER_KEYS, "n_omega_values", "arrival_mode")
+
+
+def _is_number(value) -> bool:
+    """A JSON number: an int or float, but not a bool (JSON true/false)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_cascade_keys(config: dict) -> None:
+    """Reject a key the template does not read or a value of the wrong type."""
+    for key, value in config.items():
+        if key not in _CASCADE_KEYS:
+            raise ValueError(f"unknown config key {key!r}; accepted: {', '.join(_CASCADE_KEYS)}")
+        if key in _CASCADE_NUMBER_KEYS and not _is_number(value):
+            raise ValueError(f"config key {key!r} must be a number")
+    points = config.get("n_omega_values", [])
+    if not (isinstance(points, list) and all(_is_number(x) for x in points)):
+        raise ValueError("config key 'n_omega_values' must be a list of numbers")
+
+
 def _cascade_template(args) -> tuple[cascade.CascadeConfig, list[float], float]:
     config = _load_config_file(args.config)
+    _check_cascade_keys(config)
     lifetime = _seconds_key(config, "lifetime")
     if lifetime is None:
         lifetime = 4.7e-9
@@ -464,6 +491,8 @@ def cmd_photodetect(args, out_dir: Path) -> int:
     if not 0.0 < args.k_max < math.inf:
         raise ValueError("spectrum wavenumber range must be positive and finite")
     cfg = photodetect.DetectorAtomConfig.hydrogen(k0=args.k0, phi=args.phi)
+    # Rejects a photon below the binding energy before any file is written.
+    k_res = photodetect.resonant_wavenumber(cfg)
     outputs = []
 
     k_grid = np.linspace(0.0, args.k_max, args.samples)
@@ -474,7 +503,6 @@ def cmd_photodetect(args, out_dir: Path) -> int:
         _write_table(out_dir, "spectrum", args.format, ["k_en", "e_mismatch", "eta2"], rows)
     )
 
-    k_res = photodetect.resonant_wavenumber(cfg)
     t_grid = np.linspace(0.0, args.time, 81)
     growth = [float(np.abs(photodetect.eta(cfg, k_res, t)) ** 2) for t in t_grid]
     outputs.append(

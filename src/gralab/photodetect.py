@@ -2,11 +2,13 @@
 
 A bound electron exposed to the recombined single-photon state acquires a
 continuum amplitude whose magnitude carries the resonance factor
-(1 - e^(i E t / hbar)) / E in the energy mismatch E and a hydrogenic form
-factor in the ejected wavenumber.  The photon part of the amplitude is a
-single annihilation overlap, so exactly one field sector (the vacuum)
-survives; that selection rule is checked by brute force on the splitter
-output state.
+(1 - e^(i E t)) / E in the energy mismatch E and a hydrogenic form factor
+in the ejected wavenumber.  The photon part of the amplitude is a single
+annihilation overlap, so exactly one field sector (the vacuum) survives;
+that selection rule is checked by brute force on the splitter output state.
+
+Natural units: hbar = c = 1 throughout, so neither appears in a signature
+or a formula.
 """
 
 from __future__ import annotations
@@ -35,12 +37,10 @@ class DetectorAtomConfig:
     k0: float = 1.0
     phi: float = 0.0
     volume: float = 1.0
-    hbar: float = 1.0
-    c: float = 1.0
 
     def __post_init__(self) -> None:
         # Written so that NaN fails every comparison and is rejected.
-        for name in ("bohr_radius", "reduced_mass", "charge", "k0", "volume", "hbar", "c"):
+        for name in ("bohr_radius", "reduced_mass", "charge", "k0", "volume"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
         if not -math.inf < self.binding_energy < 0.0:
@@ -50,10 +50,10 @@ class DetectorAtomConfig:
 
     @classmethod
     def hydrogen(cls, k0: float = 1.0, phi: float = 0.0, volume: float = 1.0) -> "DetectorAtomConfig":
-        """Ground-state hydrogen in natural units (hbar = c = mu = 1).
+        """Ground-state hydrogen with unit reduced mass mu.
 
         The squared charge is 4 pi, which makes the orbital radius
-        4 pi hbar^2 / (mu e^2) exactly one and the binding energy -1/2.
+        4 pi / (mu e^2) exactly one and the binding energy -1/2.
         """
         return cls(
             bohr_radius=1.0,
@@ -67,23 +67,23 @@ class DetectorAtomConfig:
 
 
 def energy_mismatch(cfg: DetectorAtomConfig, k_en):
-    """Final-minus-initial energy hbar^2 k_en^2 / 2 mu - hbar k0 c - E_bound."""
+    """Final-minus-initial energy k_en^2 / 2 mu - k0 - E_bound."""
     k = np.asarray(k_en, dtype=float)
-    kinetic = cfg.hbar**2 * k**2 / (2.0 * cfg.reduced_mass)
-    return kinetic - cfg.hbar * cfg.k0 * cfg.c - cfg.binding_energy
+    kinetic = k**2 / (2.0 * cfg.reduced_mass)
+    return kinetic - cfg.k0 - cfg.binding_energy
 
 
-def resonance_factor(e_mismatch, t: float, hbar: float = 1.0):
-    """Time-energy factor (1 - e^(i E t / hbar)) / E, finite at E = 0.
+def resonance_factor(e_mismatch, t: float):
+    """Time-energy factor (1 - e^(i E t)) / E, finite at E = 0.
 
-    Evaluated as -i (t/hbar) e^(i E t / 2 hbar) sinc(E t / 2 hbar), which
-    is smooth through the resonance, where it grows linearly in t.
+    Evaluated as -i t e^(i E t / 2) sinc(E t / 2), which is smooth through
+    the resonance, where it grows linearly in t.
     """
     if not 0.0 <= t < math.inf:
         raise ValueError("exposure time must be nonnegative and finite")
     e = np.asarray(e_mismatch, dtype=float)
-    half = e * t / (2.0 * hbar)
-    return -1j * (t / hbar) * np.exp(1j * half) * np.sinc(half / np.pi)
+    half = e * t / 2.0
+    return -1j * t * np.exp(1j * half) * np.sinc(half / np.pi)
 
 
 def mode_overlap_factor(cfg: DetectorAtomConfig) -> complex:
@@ -98,7 +98,7 @@ def form_factor(cfg: DetectorAtomConfig, k_en):
     """Bound-to-continuum overlap, a hydrogenic Lorentzian-squared in k_en."""
     k = np.asarray(k_en, dtype=float)
     a = cfg.bohr_radius
-    shell = cfg.hbar / math.sqrt(cfg.volume * math.pi * a**3)
+    shell = 1.0 / math.sqrt(cfg.volume * math.pi * a**3)
     return shell * 8.0 * math.pi * a**3 / (1.0 + a**2 * k**2) ** 2
 
 
@@ -109,14 +109,12 @@ def eta(cfg: DetectorAtomConfig, k_en, t: float):
     atomic form factor, and the resonance factor after exposure t.
     Broadcasts over k_en.
     """
-    coupling = (cfg.charge / (cfg.reduced_mass * cfg.c)) * math.sqrt(
-        cfg.hbar * cfg.c / (2.0 * cfg.volume)
-    )
+    coupling = (cfg.charge / cfg.reduced_mass) * math.sqrt(1.0 / (2.0 * cfg.volume))
     return (
         coupling
         * mode_overlap_factor(cfg)
         * form_factor(cfg, k_en)
-        * resonance_factor(energy_mismatch(cfg, k_en), t, cfg.hbar)
+        * resonance_factor(energy_mismatch(cfg, k_en), t)
     )
 
 
@@ -125,10 +123,10 @@ def resonant_wavenumber(cfg: DetectorAtomConfig) -> float:
 
     Exists only when the photon supplies more than the binding energy.
     """
-    surplus = cfg.hbar * cfg.k0 * cfg.c + cfg.binding_energy
+    surplus = cfg.k0 + cfg.binding_energy
     if surplus <= 0.0:
         raise ValueError("photon energy does not clear the binding energy")
-    return math.sqrt(2.0 * cfg.reduced_mass * surplus) / cfg.hbar
+    return math.sqrt(2.0 * cfg.reduced_mass * surplus)
 
 
 def split_photon_state(phi: float, n_max: int = 1) -> TwoModeFockSpace:
@@ -155,15 +153,14 @@ class AbsorptionReport:
     n_max: int
 
 
-def absorption_matrix_element_check(
-    state: TwoModeFockSpace, k0: float = 1.0, tol: float = 1e-12
-) -> AbsorptionReport:
+def absorption_matrix_element_check(state: TwoModeFockSpace, k0: float = 1.0) -> AbsorptionReport:
     """Scan all field sectors of the absorbed state for surviving overlaps.
 
     Applies (a_t + a_r) / sqrt(k0) to the state by matrix products and
     reports the overlap with every number sector.  For a one-photon input
     only the vacuum sector survives; at the dark-fringe phase even that
     amplitude vanishes, which is flagged rather than treated as an error.
+    Overlaps of 1e-12 or less count as zero.
     """
     if state.n_max < 1:
         raise ValueError("state must retain at least the one-photon sector")
@@ -179,7 +176,7 @@ def absorption_matrix_element_check(
     return AbsorptionReport(
         vacuum_amplitude=vacuum,
         largest_other=float(others.max()),
-        nonzero_count=int((magnitudes > tol).sum()),
-        amplitude_vanishes=abs(vacuum) <= tol,
+        nonzero_count=int((magnitudes > 1e-12).sum()),
+        amplitude_vanishes=abs(vacuum) <= 1e-12,
         n_max=state.n_max,
     )

@@ -278,8 +278,8 @@ def test_region2_frequency_modulation():
     assert np.abs(omega_d - 0.25) < 1e-15
     # At phi = pi/2 the recombined frequencies are the divided region's.
     wide = ModePair(amp_a=1.3, amp_b=0.8)
-    half = mode_frequencies(wide, 1.7, 0.6, phi=math.pi / 2.0)
-    assert np.abs(np.subtract(half, mode_frequencies(wide, 1.7, 0.6))).max() < 1e-15
+    half = mode_frequencies(wide, phi=math.pi / 2.0)
+    assert np.abs(np.subtract(half, mode_frequencies(wide))).max() < 1e-15
 
 
 def test_region2_frame_consistency():
@@ -509,21 +509,17 @@ ANGLE = st.floats(0.0, 2.0 * math.pi)
     k0=st.floats(0.5, 2.0),
     geometry=st.lists(ANGLE, min_size=6, max_size=6),
     volume=st.floats(0.2, 5.0),
-    units=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
     modes=st.lists(
         st.tuples(ANGLE, ANGLE, ANGLE, st.floats(0.2, 3.0), st.complex_numbers(max_magnitude=2.0)),
         max_size=4,
     ),
-    reference=st.none() | st.tuples(ANGLE, ANGLE),
     samples=st.lists(
         st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0), st.floats(0.0, 20.0)),
         min_size=1,
         max_size=4,
     ),
 )
-def test_frames_match_closed_form(
-    region, phi, amps, phases, k0, geometry, volume, units, modes, reference, samples
-):
+def test_frames_match_closed_form(region, phi, amps, phases, k0, geometry, volume, modes, samples):
     th_a, az_a, psi_a, th_b, az_b, psi_b = geometry
     pair = ModePair(
         amp_a=amps[0],
@@ -547,19 +543,15 @@ def test_frames_match_closed_form(
             pols=[_transverse(th, az, psi) for th, az, psi, _, _ in modes],
             coords=[q for *_, q in modes],
         )
-    ref = None if reference is None else _unit(*reference)
-    hbar, c = units
     points = np.array([sample[:3] for sample in samples])
     times = np.array([sample[3] for sample in samples])
     if region == 1:
-        frames = beables_region1(pair, points, times, volume, vac, ref, hbar, c)
+        frames = beables_region1(pair, points, times, volume, vac)
     else:
-        frames = beables_region2(pair, phi, points, times, volume, vac, ref, hbar, c)
+        frames = beables_region2(pair, phi, points, times, volume, vac)
     mode_rows = [] if vac is None else list(zip(vac.k_vectors, vac.pols, vac.coords))
     for i, (x, t) in enumerate(zip(points, times)):
-        want, envelopes = _closed_form(
-            beams, mode_rows, x, t, volume, hbar, c, pair.pol_a if ref is None else ref
-        )
+        want, envelopes = _closed_form(beams, mode_rows, x, t, volume, 1.0, 1.0, pair.pol_a)
         for name, field, envelope in zip(FIELDS, want, envelopes):
             got = getattr(frames, name)[i]
             assert np.abs(got - field).max() <= 1e-12 * envelope, name
@@ -592,14 +584,6 @@ def test_region1_quantum_potential_closed_form():
         expected = -0.5 / h2 - rho2 + 3.0
         value = quantum_potential(state, q_a, q_b)
         assert np.abs(value - expected) < 1e-4 * max(1.0, abs(expected))
-
-
-def test_quantum_potential_hbar_scaling():
-    state = single_mode_ground_state(kappa=1.0)
-    q = 0.4 + 0.1j
-    full = quantum_potential(state, q, 0.0, hbar=1.0)
-    half = quantum_potential(state, q, 0.0, hbar=0.5)
-    assert np.abs(half / full - 0.25) < 1e-12
 
 
 def test_quantum_potential_node():

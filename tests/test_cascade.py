@@ -551,12 +551,12 @@ def test_exact_alpha_zero_without_accidentals_and_undefined_for_dark_arm():
 
 @pytest.mark.parametrize("n_omega,mode", [(0.3, "analytic"), (3.0, "physical")])
 def test_alpha_stderr_calibrated_by_replication(n_omega, mode):
-    # R = 200 seeded runs.  The spread of measured_alpha must match the
-    # mean reported stderr within 15%, three times the 5% scatter of a
-    # sample SD of 200 draws.  The z-scores against exact_alpha must have
-    # mean within 0.25 of 0 (their own scatter is 0.07) and SD within 15%
-    # of 1.
-    runs = 200
+    # R = 1,000 seeded runs.  The spread of measured_alpha must match the
+    # mean reported stderr within 15%, about seven times the 2% scatter of
+    # a sample SD of 1,000 draws.  The z-scores against exact_alpha must
+    # have mean within 0.25 of 0 (their own scatter is 0.03, the
+    # estimator's offset about -0.05) and SD within 15% of 1.
+    runs = 1000
     alphas, errors = [], []
     for seed in range(runs):
         rec = simulate(_point_config(n_omega, mode, 0.9, 0.5, 1.0, 20_000, seed, eps_t=0.2, eps_r=0.2))

@@ -220,6 +220,30 @@ def test_cascade_config_nanosecond_keys(tmp_path):
     assert np.abs(manifest["config"]["lifetime"] - 4.7e-9) < 1e-21
 
 
+@pytest.mark.parametrize(
+    "entry,key",
+    [
+        ({"transmittance": None}, "transmittance"),
+        ({"lifetime_ns": [1]}, "lifetime_ns"),
+        ({"epsilon_1": True}, "epsilon_1"),
+        ({"n_omega": "0.1"}, "n_omega"),
+        ({"epsilon1": 0.9}, "epsilon1"),
+        ({"n_omega_values": [0.1, "0.3"]}, "n_omega_values"),
+        ({"n_omega_values": None}, "n_omega_values"),
+    ],
+    ids=["null", "list", "bool", "string", "typo", "string-point", "null-points"],
+)
+def test_cascade_config_rejects_unread_or_mistyped_keys(tmp_path, capsys, entry, key):
+    config = tmp_path / "cascade.json"
+    config.write_text(json.dumps(entry))
+    out_dir = tmp_path / "out"
+    code = main(["--out-dir", str(out_dir), "cascade", "--config", str(config), "--gates", "2000"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(key) in err
+    assert list(out_dir.iterdir()) == []
+
+
 def test_beables_region1_with_checks(tmp_path, capsys):
     assert main(
         ["--out-dir", str(tmp_path), "beables", "--region", "1", "--check", "--samples", "33"]
@@ -380,6 +404,13 @@ def test_photodetect_dark_phase(tmp_path, capsys):
     assert [r["label"] for r in _manifest(tmp_path, "photodetect")["checks"]] == [
         "largest non-vacuum overlap"
     ]
+
+
+def test_photodetect_photon_below_binding_energy_writes_nothing(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert main(["--out-dir", str(out_dir), "photodetect", "--k0", "0.1"]) == 1
+    assert "binding energy" in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []
 
 
 @pytest.mark.parametrize("time", ["nan", "inf"])

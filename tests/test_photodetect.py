@@ -42,7 +42,7 @@ def test_config_validation():
 
 @given(
     name=st.sampled_from(
-        ["bohr_radius", "reduced_mass", "charge", "binding_energy", "k0", "phi", "volume", "hbar", "c"]
+        ["bohr_radius", "reduced_mass", "charge", "binding_energy", "k0", "phi", "volume"]
     ),
     value=st.sampled_from([math.nan, math.inf, -math.inf]),
 )
