@@ -238,9 +238,10 @@ def _check_cascade_keys(config: dict) -> None:
             raise ValueError(f"unknown config key {key!r}; accepted: {', '.join(_CASCADE_KEYS)}")
         if key in _CASCADE_NUMBER_KEYS and not _is_number(value):
             raise ValueError(f"config key {key!r} must be a number")
-    points = config.get("n_omega_values", [])
-    if not (isinstance(points, list) and all(_is_number(x) for x in points)):
-        raise ValueError("config key 'n_omega_values' must be a list of numbers")
+    if "n_omega_values" in config:
+        points = config["n_omega_values"]
+        if not (isinstance(points, list) and points and all(_is_number(x) for x in points)):
+            raise ValueError("config key 'n_omega_values' must be a nonempty list of numbers")
 
 
 def _cascade_template(args) -> tuple[cascade.CascadeConfig, list[float], float]:

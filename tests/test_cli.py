@@ -230,8 +230,9 @@ def test_cascade_config_nanosecond_keys(tmp_path):
         ({"epsilon1": 0.9}, "epsilon1"),
         ({"n_omega_values": [0.1, "0.3"]}, "n_omega_values"),
         ({"n_omega_values": None}, "n_omega_values"),
+        ({"n_omega_values": []}, "n_omega_values"),
     ],
-    ids=["null", "list", "bool", "string", "typo", "string-point", "null-points"],
+    ids=["null", "list", "bool", "string", "typo", "string-point", "null-points", "no-points"],
 )
 def test_cascade_config_rejects_unread_or_mistyped_keys(tmp_path, capsys, entry, key):
     config = tmp_path / "cascade.json"
