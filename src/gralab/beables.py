@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -27,10 +26,6 @@ class SingularDenominator(ValueError):
 
 class StepTooLarge(ValueError):
     """Requested integration step cannot resolve the fastest rotation."""
-
-
-class NodeError(ValueError):
-    """The wavefunction modulus vanishes here; no quantum potential exists."""
 
 
 class EmptyCurve(ValueError):
@@ -99,10 +94,11 @@ class ModePair:
         amp, phase = np.array([self.amp_a, self.amp_b]), np.array([self.phase_a, self.phase_b])
         _freeze(self, _k=k, _pol=pol, _curl=np.cross(k, pol), _amp=amp, _phase=phase)
         _freeze(self, _pol_a_cross=_cross_matrix(self.pol_a))
+        object.__setattr__(self, "_k0", float(ka))
 
     @property
     def k0(self) -> float:
-        return float(np.linalg.norm(self.k_a))
+        return self._k0
 
     @classmethod
     def single_frequency(
@@ -110,10 +106,10 @@ class ModePair:
     ) -> "ModePair":
         """Equal-amplitude pair with a quarter-cycle phase offset.
 
-        On this manifold both coordinates rotate rigidly at one frequency
-        and keep their moduli; it is the regime the closed single-frequency
-        solution describes exactly.  The beams run along +x and +y with
-        wavenumber k0, which must be positive and finite.
+        On this manifold both coordinates rotate rigidly at the mode
+        frequency 1 / (4 amp^2) and keep their moduli: analytic_region1
+        reduces to q* = q*(0) e^(i omega t).  The beams run along +x and +y
+        with wavenumber k0, which must be positive and finite.
         """
         if not 0.0 < k0 < math.inf:
             raise ValueError("beam wavenumber must be positive and finite")
@@ -203,34 +199,6 @@ def analytic_region1(pair: ModePair, times):
     return a0 + 0.5 * w0 * turn, b0 - 0.5j * w0 * turn
 
 
-def is_single_frequency(pair: ModePair) -> bool:
-    """True when the pair sits on the rigid-rotation manifold.
-
-    Requires equal amplitudes and a phase offset of a quarter cycle,
-    phase_a - phase_b = pi/2 (mod 2 pi), both to within 1e-9.
-    """
-    if abs(pair.amp_a - pair.amp_b) > 1e-9 * max(pair.amp_a, pair.amp_b):
-        return False
-    d = (pair.phase_a - pair.phase_b - math.pi / 2.0) % (2.0 * math.pi)
-    return min(d, 2.0 * math.pi - d) <= 1e-9
-
-
-def single_frequency_solution(pair: ModePair, times):
-    """Rigid-rotation solution q*(t) = amp e^(i (omega t + phase)).
-
-    Valid only on the single-frequency manifold; elsewhere the coupled
-    motion is an offset circle and this form does not solve it.
-    """
-    if not is_single_frequency(pair):
-        raise ValueError("pair is off the single-frequency manifold")
-    t = np.asarray(times, dtype=float)
-    omega, _ = mode_frequencies(pair)
-    return (
-        pair.amp_a * np.exp(1j * (omega * t + pair.phase_a)),
-        pair.amp_b * np.exp(1j * (omega * t + pair.phase_b)),
-    )
-
-
 @dataclass(frozen=True)
 class ModeTrajectory:
     """Sampled divided-region coordinates q_a(t), q_b(t), aligned with the times."""
@@ -255,7 +223,7 @@ def integrate_region1(pair: ModePair, t_end: float, dt: float | None = None) -> 
     cycle = 2.0 * math.pi / fastest
     if dt is None:
         dt = cycle / 1000.0
-    if dt <= 0.0:
+    if not dt > 0.0:  # NaN fails here; an infinite step is StepTooLarge
         raise ValueError("step must be positive")
     if dt > cycle / 8.0:
         raise StepTooLarge(f"step {dt:.3e} exceeds an eighth of the fastest cycle {cycle:.3e}")
@@ -452,112 +420,58 @@ def visibility(curve) -> float:
     return (hi - lo) / (hi + lo)
 
 
-@dataclass
-class ModulusEvaluator:
-    """Wavefunction modulus R(q_a, q_b) with per-coordinate mode weights.
+def _guiding(q_a, q_b):
+    """Coordinates as complex arrays and their denominator w = q_a - i q_b.
+    Raises SingularDenominator where w vanishes, on the ray where
+    region1_equations_of_motion does."""
+    q_a, q_b = np.asarray(q_a, dtype=complex), np.asarray(q_b, dtype=complex)
+    w = q_a - 1j * q_b
+    if (np.abs(w) < 1e-12 * np.maximum(1.0, np.maximum(np.abs(q_a), np.abs(q_b)))).any():
+        raise SingularDenominator("q_a - i q_b vanished")
+    return q_a, q_b, w
 
-    Each traveling-wave coordinate has a conjugate partner at -k whose
-    contribution to mode sums duplicates its own, so physical two-beam
-    states carry weight 2 per coordinate; a standalone single-coordinate
-    state carries weight 1.  The weights multiply each coordinate's term
-    in the curvature sum of the quantum potential.
+
+def quantum_potential(pair: ModePair, q_a, q_b):
+    """Field quantum potential of the divided-region state, in closed form.
+
+    The state's modulus is R = |w| exp(-k0 rho^2), with w = q_a - i q_b and
+    rho^2 = |q_a|^2 + |q_b|^2.  Each coordinate carries weight 2 for its -k
+    partner in Q = -(1 / 2R) sum_i w_i d2R/dq_i* dq_i.  ln|w| is harmonic in
+    each coordinate, so
+    Q = 3 k0 - k0^2 rho^2 - 1 / (2 |w|^2).
+    Broadcasts over arrays of coordinates.
     """
-
-    fn: Callable[[complex, complex], float]
-    weights: tuple[float, float] = (2.0, 2.0)
-
-
-def region1_modulus(pair: ModePair) -> ModulusEvaluator:
-    """Modulus of the divided-region single-excitation state.
-
-    R = |q_a - i q_b| exp(-k0 (|q_a|^2 + |q_b|^2)) over the two
-    excited coordinates, each weighted twice for its -k partner.
-    """
+    q_a, q_b, w = _guiding(q_a, q_b)
     k0 = pair.k0
-
-    def fn(q_a: complex, q_b: complex) -> float:
-        rho2 = abs(q_a) ** 2 + abs(q_b) ** 2
-        return abs(q_a - 1j * q_b) * math.exp(-k0 * rho2)
-
-    return ModulusEvaluator(fn=fn, weights=(2.0, 2.0))
+    return 3.0 * k0 - k0**2 * (np.abs(q_a) ** 2 + np.abs(q_b) ** 2) - 0.5 / np.abs(w) ** 2
 
 
-def single_mode_ground_state(kappa: float) -> ModulusEvaluator:
-    """Ground-state modulus exp(-kappa |q|^2) of one coordinate."""
-    if kappa <= 0.0:
-        raise ValueError("wavenumber must be positive")
-
-    def fn(q_a: complex, q_b: complex) -> float:
-        return math.exp(-kappa * abs(q_a) ** 2)
-
-    return ModulusEvaluator(fn=fn, weights=(1.0, 0.0))
-
-
-def quantum_potential(
-    state: ModulusEvaluator, q_a: complex, q_b: complex, step: float = 1e-5
-) -> float:
-    """Field quantum potential -(1 / 2 R) sum_i w_i d2R/dq_i* dq_i.
-
-    The mixed derivative is a quarter of the flat Laplacian over the real
-    and imaginary parts of each coordinate, evaluated by central finite
-    differences with a relative step.  Raises NodeError where the modulus
-    vanishes (falls to 1e-12 or below).
-    """
-    r0 = state.fn(q_a, q_b)
-    if not math.isfinite(r0) or r0 <= 1e-12:
-        raise NodeError("modulus vanishes; quantum potential undefined")
-    q = [complex(q_a), complex(q_b)]
-    curvature = 0.0
-    for idx, w in enumerate(state.weights):
-        if w == 0.0:
-            continue
-        h = step * max(1.0, abs(q[idx]))
-        samples = 0.0
-        for delta in (h, -h, 1j * h, -1j * h):
-            shifted = list(q)
-            shifted[idx] = q[idx] + delta
-            samples += state.fn(shifted[0], shifted[1])
-        lap = (samples - 4.0 * r0) / h**2
-        curvature += w * lap / 4.0
-    return -0.5 * curvature / r0
+def _quantum_gradient(pair: ModePair, q_a, q_b):
+    """Wirtinger gradient (dQ/dq_a, dQ/dq_b) of quantum_potential:
+    -k0^2 q* + (1, -i) / (2 w^2 w*)."""
+    q_a, q_b, w = _guiding(q_a, q_b)
+    pull = 0.5 / (w**2 * np.conj(w))
+    k2 = pair.k0**2
+    return -k2 * np.conj(q_a) + pull, -k2 * np.conj(q_b) - 1j * pull
 
 
 def wave_equation_residual(pair: ModePair, t: float) -> float:
-    """Relative residual of the mode wave equation along a trajectory.
+    """Relative residual of the mode wave equation along the closed orbit.
 
-    Checks d2q*/dt2 + k0^2 q* + dQ/dq = 0 at the closed-form trajectory
-    point for time t, with the quantum-potential gradient taken by nested
-    finite differences (inner step 1e-4 inside Q, wider outer step 3e-3
-    for the gradient so the noise stays below the reported scale).
+    Checks d2q*/dt2 + k0^2 q* + dQ/dq = 0 at time t, with d2q*/dt2 from
+    analytic_region1 differentiated twice (w0 = q_a* + i q_b* turns at
+    omega, so q_a*'' = -w0 omega^2 e^(i omega t) / 2 and q_b*'' = -i times
+    that) and dQ/dq the gradient of quantum_potential.  The residual thus
+    ties the orbit, the equations of motion and Q together.
     """
+    _, _, w0, omega = _start(pair)
+    turn = 0.5 * w0 * omega**2 * np.exp(1j * omega * t)
+    d2_a, d2_b = -turn, 1j * turn
     qa_star, qb_star = analytic_region1(pair, t)
-    qa_star = complex(qa_star)
-    qb_star = complex(qb_star)
-    q_a = np.conj(qa_star)
-    q_b = np.conj(qb_star)
-    w = q_a - 1j * q_b
-    denom = w**2 * np.conj(w)
-    d2_a = -0.5 / denom
-    d2_b = 0.5j / denom
-
-    state = region1_modulus(pair)
-
-    def grad(idx: int) -> complex:
-        base = q_a if idx == 0 else q_b
-        h = 3e-3 * max(1.0, abs(base))
-
-        def q_at(delta: complex) -> float:
-            args = [q_a, q_b]
-            args[idx] = base + delta
-            return quantum_potential(state, args[0], args[1], step=1e-4)
-
-        d_re = (q_at(h) - q_at(-h)) / (2.0 * h)
-        d_im = (q_at(1j * h) - q_at(-1j * h)) / (2.0 * h)
-        return 0.5 * (d_re - 1j * d_im)
-
+    grad_a, grad_b = _quantum_gradient(pair, np.conj(qa_star), np.conj(qb_star))
     k2 = pair.k0**2
-    res_a = d2_a + k2 * qa_star + grad(0)
-    res_b = d2_b + k2 * qb_star + grad(1)
+    res_a = d2_a + k2 * qa_star + grad_a
+    res_b = d2_b + k2 * qb_star + grad_b
     scale = max(abs(d2_a), abs(d2_b), k2 * abs(qa_star), k2 * abs(qb_star), 1e-30)
     return float(math.hypot(abs(res_a), abs(res_b)) / scale)
 
@@ -565,20 +479,17 @@ def wave_equation_residual(pair: ModePair, t: float) -> float:
 def total_energy(pair: ModePair, t: float = 0.0) -> float:
     """Kinetic plus oscillator plus quantum-potential energy at time t.
 
-    Each coordinate contributes w (|dq*/dt|^2 / 2 + k0^2 |q|^2 / 2)
-    with its mode weight; adding the quantum potential makes the total a
-    constant of the motion for every trajectory of the coupled equations.
+    Each coordinate contributes 2 (|dq*/dt|^2 / 2 + k0^2 |q|^2 / 2), weight 2
+    for its -k partner.  With quantum_potential the total is 3 k0 for every
+    state, so it is a constant of the motion for every trajectory.
     """
     qa_star, qb_star = analytic_region1(pair, t)
     q_a = complex(np.conj(qa_star))
     q_b = complex(np.conj(qb_star))
     da, db = region1_equations_of_motion(q_a, q_b)
-    state = region1_modulus(pair)
-    weights = state.weights
-    k2 = pair.k0**2
-    kinetic = (abs(da) ** 2 * weights[0] + abs(db) ** 2 * weights[1]) / 2.0
-    oscillator = k2 * (abs(q_a) ** 2 * weights[0] + abs(q_b) ** 2 * weights[1]) / 2.0
-    return kinetic + oscillator + quantum_potential(state, q_a, q_b)
+    kinetic = abs(da) ** 2 + abs(db) ** 2
+    oscillator = pair.k0**2 * (abs(q_a) ** 2 + abs(q_b) ** 2)
+    return kinetic + oscillator + float(quantum_potential(pair, q_a, q_b))
 
 
 # Rows of the shifted evaluations: the point itself, t +- h, x + h e_j, x - h e_j,

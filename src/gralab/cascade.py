@@ -134,8 +134,11 @@ def correlation_for_f(f_target: float, lifetime: float = 4.7e-9, gate: float | N
         gate = 2.0 * lifetime
     base = 1.0 - math.exp(-gate / lifetime)
     a = f_target / base
-    if a < 1.0:
-        raise ConfigError(f"arrival probability {f_target} needs a < 1 (base {base:.6f})")
+    if not 1.0 <= a < math.inf:  # NaN fails here
+        raise ConfigError(
+            f"arrival probability {f_target} must be finite and at least the base {base:.6f}"
+            " (correlation factor a >= 1)"
+        )
     return a
 
 
@@ -480,8 +483,8 @@ def sweep_curve(template: CascadeConfig, n_omega_values) -> list[SweepPoint]:
     expected gate at that rate raises ConfigError, as for any other point.
     """
     values = [float(x) for x in n_omega_values]
-    if any(x < 0.0 for x in values):
-        raise ConfigError("Nw values must be nonnegative")
+    if not all(0.0 <= x < math.inf for x in values):  # NaN fails here
+        raise ConfigError("Nw values must be nonnegative and finite")
     f = f_omega(template)
     seeds = np.random.SeedSequence(template.rng_seed).generate_state(
         max(len(values), 1), dtype=np.uint64

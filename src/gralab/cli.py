@@ -266,6 +266,10 @@ def _cascade_template(args) -> tuple[cascade.CascadeConfig, list[float], float]:
     points = args.points if args.points is not None else config.get("n_omega_values")
     points = list(_DEFAULT_SWEEP) if points is None else [float(x) for x in points]
     n_omega = args.n_omega if args.n_omega is not None else float(config.get("n_omega", 0.1))
+    if not all(math.isfinite(x) for x in (*points, n_omega)):
+        raise ValueError(
+            "Nw (--n-omega, --points, config keys 'n_omega', 'n_omega_values') must be finite"
+        )
 
     arrival = args.arrival or config.get("arrival_mode", "analytic")
     collection = (

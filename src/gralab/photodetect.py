@@ -164,8 +164,8 @@ def absorption_matrix_element_check(state: TwoModeFockSpace, k0: float = 1.0) ->
     """
     if state.n_max < 1:
         raise ValueError("state must retain at least the one-photon sector")
-    if k0 <= 0.0:
-        raise ValueError("mode wavenumber must be positive")
+    if not 0.0 < k0 < math.inf:
+        raise ValueError("mode wavenumber must be positive and finite")
     create = creation_matrix(state.n_max)
     psi = state.amplitudes
     lowered = (create.T @ psi + psi @ create) / math.sqrt(k0)

@@ -43,8 +43,9 @@ def test_default_gate_is_twice_lifetime():
 def test_correlation_for_f_round_trip():
     a = correlation_for_f(0.9)
     assert np.abs(f_omega(_config(correlation_factor=a)) - 0.9) < 1e-12
-    with pytest.raises(ConfigError):
-        correlation_for_f(0.5)
+    for f_target in (0.5, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="arrival probability"):
+            correlation_for_f(f_target)
 
 
 def test_analytic_curve_fixed_values():
@@ -283,8 +284,14 @@ def test_sweep_zero_point_needs_one_expected_gate_at_its_own_rate():
 
 
 def test_sweep_rejects_negative_points():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="Nw"):
         sweep_curve(_config(), [-0.1])
+
+
+@pytest.mark.parametrize("point", [math.nan, math.inf, -math.inf])
+def test_sweep_rejects_nonfinite_points(point):
+    with pytest.raises(ConfigError, match="Nw"):
+        sweep_curve(_config(), [0.1, point])
 
 
 def test_run_time_mode():

@@ -245,6 +245,33 @@ def test_cascade_config_rejects_unread_or_mistyped_keys(tmp_path, capsys, entry,
     assert list(out_dir.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv,entry,named",
+    [
+        (["--points", "0.1,nan"], None, "Nw"),
+        (["--n-omega", "nan"], None, "Nw"),
+        (["--n-omega", "inf"], None, "Nw"),
+        ([], {"n_omega": math.nan}, "Nw"),
+        ([], {"n_omega_values": [0.1, math.nan]}, "Nw"),
+        (["--f-target", "nan"], None, "arrival probability"),
+        ([], {"f_target": math.nan}, "arrival probability"),
+    ],
+    ids=["points", "n-omega-nan", "n-omega-inf", "config-n-omega", "config-points",
+         "f-target", "config-f-target"],
+)
+def test_cascade_nonfinite_input_is_named(tmp_path, capsys, argv, entry, named):
+    # Python's json reads a bare NaN token, so a config file can carry one.
+    if entry is not None:
+        config = tmp_path / "cascade.json"
+        config.write_text(json.dumps(entry))
+        argv = [*argv, "--config", str(config)]
+    out_dir = tmp_path / "out"
+    assert main(["--out-dir", str(out_dir), "cascade", "--gates", "2000", *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert list(out_dir.iterdir()) == []
+
+
 def test_beables_region1_with_checks(tmp_path, capsys):
     assert main(
         ["--out-dir", str(tmp_path), "beables", "--region", "1", "--check", "--samples", "33"]
@@ -259,7 +286,7 @@ def test_beables_region1_with_checks(tmp_path, capsys):
     assert [r["label"] for r in records] == [
         "wave-equation residual", "E vs -(1/c) dA/dt", "B vs curl A", "energy drift over a cycle",
     ]
-    assert [r["bound"] for r in records] == [1e-4, 1e-6, 1e-6, 1e-5]
+    assert [r["bound"] for r in records] == [1e-12, 1e-6, 1e-6, 1e-12]
     assert all(r["passed"] and 0.0 <= r["value"] < r["bound"] for r in records)
     assert records == [asdict(r) for r in checks.region1(ModePair.single_frequency(1.0), 1.0, None)]
     for r in records:
@@ -292,7 +319,7 @@ def test_beables_failed_check_is_recorded(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("gralab.beables.wave_equation_residual", lambda *args, **kwargs: math.nan)
     argv = ["--out-dir", str(tmp_path), "beables", "--check", "--samples", "9"]
     assert main(argv) == 1
-    assert "[FAIL] wave-equation residual: nan (bound 1.0e-04)" in capsys.readouterr().out
+    assert "[FAIL] wave-equation residual: nan (bound 1.0e-12)" in capsys.readouterr().out
     # A NaN value is written as null, never as a bare NaN token.
     records = _manifest(tmp_path, "beables")["checks"]
     assert records[0]["label"] == "wave-equation residual"

@@ -192,5 +192,6 @@ def test_selection_rule_wavenumber_scaling():
     base = absorption_matrix_element_check(split_photon_state(0.3), k0=1.0)
     quartered = absorption_matrix_element_check(split_photon_state(0.3), k0=4.0)
     assert np.abs(quartered.vacuum_amplitude - base.vacuum_amplitude / 2.0) < 1e-15
-    with pytest.raises(ValueError):
-        absorption_matrix_element_check(split_photon_state(0.3), k0=0.0)
+    for k0 in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="wavenumber must be positive and finite"):
+            absorption_matrix_element_check(split_photon_state(0.3), k0=k0)
