@@ -270,6 +270,9 @@ def _cascade_template(args) -> tuple[cascade.CascadeConfig, list[float], float]:
         raise ValueError(
             "Nw (--n-omega, --points, config keys 'n_omega', 'n_omega_values') must be finite"
         )
+    # The sweep list is read only by a sweep; outside one it would be ignored.
+    if not args.sweep and (args.points is not None or "n_omega_values" in config):
+        raise ValueError("the Nw list (--points, config key 'n_omega_values') needs --sweep")
 
     arrival = args.arrival or config.get("arrival_mode", "analytic")
     collection = (
@@ -390,6 +393,8 @@ def _report(results: list[checks.Check]) -> bool:
 
 def cmd_beables(args, out_dir: Path) -> int:
     t0 = time.monotonic()
+    if args.sweep and args.region == 1:
+        raise ValueError("--sweep is the region-2 phase sweep and needs --region 2")
     pair = _beables_pair(args)
     vacuum = None
     if args.vacuum > 0:
@@ -495,7 +500,7 @@ def cmd_photodetect(args, out_dir: Path) -> int:
     t0 = time.monotonic()
     if not 0.0 < args.k_max < math.inf:
         raise ValueError("spectrum wavenumber range must be positive and finite")
-    cfg = photodetect.DetectorAtomConfig.hydrogen(k0=args.k0, phi=args.phi)
+    cfg = photodetect.DetectorAtomConfig(k0=args.k0, phi=args.phi)
     # Rejects a photon below the binding energy before any file is written.
     k_res = photodetect.resonant_wavenumber(cfg)
     outputs = []
@@ -527,13 +532,8 @@ def cmd_photodetect(args, out_dir: Path) -> int:
     report = photodetect.absorption_matrix_element_check(
         photodetect.split_photon_state(args.phi, args.n_max), k0=args.k0
     )
-    selection = {
-        "vacuum_amplitude": [report.vacuum_amplitude.real, report.vacuum_amplitude.imag],
-        "largest_other": report.largest_other,
-        "nonzero_count": report.nonzero_count,
-        "amplitude_vanishes": report.amplitude_vanishes,
-        "n_max": report.n_max,
-    }
+    vacuum = report.vacuum_amplitude
+    selection = {**asdict(report), "vacuum_amplitude": [vacuum.real, vacuum.imag]}
     selection_path = out_dir / "selection.json"
     selection_path.write_text(json.dumps(selection, indent=2) + "\n", encoding="utf-8")
     outputs.append(selection_path)

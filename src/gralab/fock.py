@@ -1,4 +1,4 @@
-"""Beam-splitter photon statistics in a truncated two-mode Fock space.
+"""Beam-splitter photon statistics of one input mode.
 
 One input mode carrying a number, coherent, or chaotic (thermal) state meets
 a lossless beam splitter and the two output arms are read out in coincidence.
@@ -8,14 +8,16 @@ output of k input photons by k applications of the splitter's creation
 operator to the vacuum, stores it as one rung vector of k + 1 amplitudes on
 |k-j>_t |j>_r (photon number is conserved, so no rung reaches the cutoff),
 and evaluates the same expectations from the amplitudes, each rung weighted
-by the input's photon-number distribution as it is built.
+by the input's photon-number distribution as it is built.  Rung vectors are
+the package's only two-arm representation; `gralab.photodetect` uses the
+same layout.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -157,32 +159,6 @@ def g2(state: InputState, bs: BeamSplitter | None = None) -> float:
     return expect_coincidence(state, bs) / (nt * nr)
 
 
-def creation_matrix(n_max: int) -> np.ndarray:
-    """Matrix of the creation operator on the basis |0> .. |n_max>.
-
-    Raising out of the top level is truncated to zero.
-    """
-    if n_max < 0:
-        raise ValueError("cutoff must be nonnegative")
-    return np.diag(np.sqrt(np.arange(1.0, n_max + 1.0)), -1)
-
-
-@dataclass
-class TwoModeFockSpace:
-    """Pure two-arm state: amplitudes[i, j] multiplies |i>_t |j>_r."""
-
-    n_max: int
-    amplitudes: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        if self.amplitudes.shape != (self.n_max + 1, self.n_max + 1):
-            raise ValueError("amplitude grid must be (n_max+1) x (n_max+1)")
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
-
-
 def _rungs(bs: BeamSplitter, top: int):
     """Yield the splitter outputs of |0>, |1>, .. |top> on one input port as
     rung vectors: one normalized step (t b_t+ + e^{i phase} r b_r+) / sqrt(k)
@@ -207,18 +183,6 @@ def _rungs(bs: BeamSplitter, top: int):
         np.multiply(out, 1.0 / math.sqrt(k), out=out)
         old, new = new, old
         yield out
-
-
-def split_photons(n: int, bs: BeamSplitter, n_max: int | None = None) -> TwoModeFockSpace:
-    """Send |n> through the splitter: rung n of the creation ladder, scattered
-    onto the anti-diagonal i + j = n of the two-arm grid."""
-    n_max = photon_weights(NumberState(n), n_max)[0]
-    for rung in _rungs(bs, n):
-        pass
-    amplitudes = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    j = np.arange(n + 1)
-    amplitudes[n - j, j] = rung
-    return TwoModeFockSpace(n_max=n_max, amplitudes=amplitudes)
 
 
 def default_cutoff(state: InputState, leakage_tol: float = 1e-12) -> int:

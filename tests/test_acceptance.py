@@ -232,7 +232,7 @@ def test_criterion_9_whole_quantum_absorption(capsys):
         )
     if np.abs(shape - target).max() >= 1e-12 * target.max():
         failures.append("ejection spectrum is not sinc-squared in the mismatch")
-    atom = photodetect.DetectorAtomConfig.hydrogen()
+    atom = photodetect.DetectorAtomConfig()
     k_res = photodetect.resonant_wavenumber(atom)
     ratio = (
         np.abs(photodetect.eta(atom, k_res, 2.0 * exposure)) ** 2

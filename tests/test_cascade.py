@@ -23,6 +23,7 @@ from gralab.cascade import (
     simulate,
     sweep_curve,
 )
+from gralab import fock
 from gralab.fock import BeamSplitter
 
 F_BASE = 1.0 - math.exp(-2.0)
@@ -534,6 +535,59 @@ def test_gate_probabilities_equal_no_count_factorization():
     for got, want in zip(gate_probabilities(cfg), expected):
         assert abs(got - want) < 1e-14
     assert abs(exact_alpha(cfg) - expected[2] / (expected[0] * expected[1])) < 1e-12
+
+
+def _oracle_gate_probabilities(cfg):
+    """Test-only reference for (P_t, P_r, P_c) from the Fock oracle's rungs.
+
+    A gate holds the paired photon with probability f plus Poisson(N w c)
+    accidentals.  Each k-photon term leaves the splitter as rung k, with
+    amplitude j on |k-j>_t |j>_r, and a threshold counter behind an arm
+    that receives n photons clicks with probability 1 - (1 - eps)^n.
+    """
+    f = f_omega(cfg)
+    lam_c = cfg.decay_rate * cfg.gate * cfg.accidental_collection
+    n_max = fock.default_cutoff(fock.CoherentState(math.sqrt(lam_c)))
+    accidentals, tail = fock.poisson_weights(lam_c, n_max)
+    assert tail < 1e-15
+    # Photon-number weights of 0 .. n_max + 1 photons in the gate.
+    number = (1.0 - f) * np.append(accidentals, 0.0) + f * np.append(0.0, accidentals)
+    probabilities = np.zeros(3)
+    for k, rung in enumerate(fock._rungs(cfg.bs, n_max + 1)):
+        j = np.arange(k + 1)
+        click_t = 1.0 - (1.0 - cfg.epsilon_t) ** (k - j)
+        click_r = 1.0 - (1.0 - cfg.epsilon_r) ** j
+        weight = number[k] * np.abs(rung) ** 2
+        probabilities += weight @ click_t, weight @ click_r, weight @ (click_t * click_r)
+    return tuple(probabilities)
+
+
+@given(
+    n_omega=st.one_of(st.just(0.0), st.floats(1e-3, 4.0)),
+    collection=st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+    t2=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(1e-6, 1.0)),
+    f=st.floats(F_BASE, 1.0),
+    eps_t=st.floats(0.01, 1.0),
+    eps_r=st.floats(0.01, 1.0),
+)
+@example(n_omega=0.0, collection=1.0, t2=0.5, f=0.9, eps_t=0.05, eps_r=0.05)
+@example(n_omega=3.0, collection=0.5, t2=0.8, f=0.9, eps_t=0.3, eps_r=0.2)
+@example(n_omega=4.0, collection=1.0, t2=0.3, f=1.0, eps_t=1.0, eps_r=0.01)
+def test_gate_probabilities_match_oracle_reference(n_omega, collection, t2, f, eps_t, eps_r):
+    # The closed form, the Fock oracle and (elsewhere) the Monte Carlo meet
+    # at one gate.  Nw = 0 is a sweep's zero point: nominal rate, no accidentals.
+    gate = 9.4e-9
+    cfg = CascadeConfig(
+        decay_rate=(n_omega if n_omega > 0.0 else 1.0) / gate,
+        correlation_factor=correlation_for_f(f),
+        epsilon_t=eps_t,
+        epsilon_r=eps_r,
+        bs=BeamSplitter.from_transmittance(t2),
+        accidental_collection=collection if n_omega > 0.0 else 0.0,
+        target_gates=1,
+    )
+    for got, want in zip(gate_probabilities(cfg), _oracle_gate_probabilities(cfg)):
+        assert abs(got - want) <= 1e-12 * abs(want)
 
 
 @pytest.mark.parametrize("n_omega", [0.1, 0.9, 3.0])

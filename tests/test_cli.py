@@ -272,6 +272,35 @@ def test_cascade_nonfinite_input_is_named(tmp_path, capsys, argv, entry, named):
     assert list(out_dir.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv,entry,named",
+    [
+        (["--points", "1,2"], None, "--points"),
+        ([], {"n_omega_values": [0.1, 0.3]}, "'n_omega_values'"),
+    ],
+    ids=["points", "config-points"],
+)
+def test_cascade_sweep_list_needs_sweep(tmp_path, capsys, argv, entry, named):
+    # Without --sweep the list used to be ignored and the default point run.
+    if entry is not None:
+        config = tmp_path / "cascade.json"
+        config.write_text(json.dumps(entry))
+        argv = [*argv, "--config", str(config)]
+    out_dir = tmp_path / "out"
+    assert main(["--out-dir", str(out_dir), "cascade", "--gates", "1000", *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err and "--sweep" in err
+    assert list(out_dir.iterdir()) == []
+
+
+def test_beables_sweep_needs_region_2(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert main(["--out-dir", str(out_dir), "beables", "--region", "1", "--sweep"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--sweep" in err and "--region 2" in err
+    assert list(out_dir.iterdir()) == []
+
+
 def test_beables_region1_with_checks(tmp_path, capsys):
     assert main(
         ["--out-dir", str(tmp_path), "beables", "--region", "1", "--check", "--samples", "33"]

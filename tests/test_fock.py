@@ -16,7 +16,7 @@ from gralab.fock import (
     DegenerateState,
     NumberState,
     TruncationError,
-    creation_matrix,
+    _rungs,
     default_cutoff,
     expect_coincidence,
     expect_reflected,
@@ -26,10 +26,21 @@ from gralab.fock import (
     oracle_moments,
     photon_weights,
     poisson_weights,
-    split_photons,
 )
 
 BALANCED = BeamSplitter()
+
+
+def creation_matrix(n_max: int) -> np.ndarray:
+    """Test-only dense reference: the creation operator on |0> .. |n_max>,
+    with raising out of the top level truncated to zero."""
+    return np.diag(np.sqrt(np.arange(1.0, n_max + 1.0)), -1)
+
+
+def _rung(n, bs):
+    """Rung n of the oracle: amplitude j on |n-j>_t |j>_r."""
+    *_, rung = _rungs(bs, n)
+    return rung.copy()
 
 
 def test_balanced_splitter():
@@ -149,19 +160,19 @@ def test_creation_matrix_entries():
 
 
 def test_single_photon_amplitudes():
-    out = split_photons(1, BALANCED)
-    assert np.abs(out.amplitudes[1, 0] - BALANCED.t) < 1e-15
-    assert np.abs(out.amplitudes[0, 1] - 1j * BALANCED.r) < 1e-15
+    rung = _rung(1, BALANCED)
+    assert np.abs(rung[0] - BALANCED.t) < 1e-15
+    assert np.abs(rung[1] - 1j * BALANCED.r) < 1e-15
 
 
 def test_two_photon_amplitudes():
     # (t bt+ + i r br+)^2 / sqrt(2) on the vacuum, balanced splitter:
     # amplitudes t^2, i sqrt(2) t r, -r^2 on |2,0>, |1,1>, |0,2>.
-    out = split_photons(2, BALANCED)
-    assert np.abs(out.amplitudes[2, 0] - 0.5) < 1e-15
-    assert np.abs(out.amplitudes[1, 1] - 1j / math.sqrt(2.0)) < 1e-15
-    assert np.abs(out.amplitudes[0, 2] + 0.5) < 1e-15
-    assert np.abs(out.norm() - 1.0) < 1e-10
+    rung = _rung(2, BALANCED)
+    assert np.abs(rung[0] - 0.5) < 1e-15
+    assert np.abs(rung[1] - 1j / math.sqrt(2.0)) < 1e-15
+    assert np.abs(rung[2] + 0.5) < 1e-15
+    assert np.abs(np.linalg.norm(rung) - 1.0) < 1e-10
 
 
 def _grid_moments(psi):
@@ -171,20 +182,16 @@ def _grid_moments(psi):
     return n @ prob.sum(axis=1), n @ prob.sum(axis=0), n @ prob @ n
 
 
-def test_split_photons_conserves_photon_number():
+def test_rungs_conserve_photon_number():
     rng = np.random.default_rng(17)
     # n! overflows a float from n = 171 on; the normalized ladder never forms it.
     for n in (1, 2, 5, 9, 171):
         bs = BeamSplitter.from_transmittance(rng.uniform(0.1, 0.9))
-        out = split_photons(n, bs, n_max=n)
-        exp_t, exp_r, _ = _grid_moments(out.amplitudes)
-        assert np.abs(out.norm() - 1.0) < 1e-10
-        assert np.abs(exp_t + exp_r - n) < 1e-9
-
-
-def test_split_photons_truncation():
-    with pytest.raises(TruncationError):
-        split_photons(3, BALANCED, n_max=2)
+        prob = np.abs(_rung(n, bs)) ** 2
+        j = np.arange(n + 1.0)
+        assert np.abs(prob.sum() - 1.0) < 1e-10
+        # Each photon is reflected independently: the r arm holds n r^2 on average.
+        assert np.abs(j @ prob - n * bs.r**2) < 1e-9 * n
 
 
 def test_mixture_weights_keep_tail():
@@ -258,9 +265,10 @@ def test_oracle_matches_dense_reference(state, headroom, t2, phase):
     n_max = default_cutoff(state) + headroom
     if isinstance(state, NumberState):
         *_, psi = _dense_ladder(bs, n_max, state.n)
-        out = split_photons(state.n, bs, n_max=n_max)
-        assert out.amplitudes.shape == psi.shape
-        assert np.max(np.abs(out.amplitudes - psi)) < 1e-12
+        grid = np.zeros_like(psi)
+        j = np.arange(state.n + 1)
+        grid[state.n - j, j] = _rung(state.n, bs)
+        assert np.max(np.abs(grid - psi)) < 1e-12
     moments = oracle_moments(state, bs, n_max=n_max)
     reference = _dense_moments(state, bs, n_max)
     assert np.all(np.abs(np.array(moments) - reference) <= 1e-12 * np.maximum(1.0, reference))

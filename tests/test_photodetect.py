@@ -18,42 +18,28 @@ from gralab.photodetect import (
     resonant_wavenumber,
     split_photon_state,
 )
+from test_fock import creation_matrix
 
-HYDROGEN = DetectorAtomConfig.hydrogen()
-
-
-def test_hydrogen_preset():
-    assert HYDROGEN.bohr_radius == 1.0
-    assert HYDROGEN.reduced_mass == 1.0
-    assert HYDROGEN.binding_energy == -0.5
-    assert np.abs(HYDROGEN.charge**2 - 4.0 * math.pi) < 1e-12
+HYDROGEN = DetectorAtomConfig()
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        DetectorAtomConfig(0.0, 1.0, 1.0, -0.5)
-    with pytest.raises(ValueError):
-        DetectorAtomConfig(1.0, 1.0, -1.0, -0.5)
-    with pytest.raises(ValueError):
-        DetectorAtomConfig(1.0, 1.0, 1.0, 0.5)
-    with pytest.raises(ValueError):
-        DetectorAtomConfig(1.0, 1.0, 1.0, -0.5, k0=0.0)
+    assert (HYDROGEN.k0, HYDROGEN.phi) == (1.0, 0.0)
+    for k0 in (0.0, -1.0):
+        with pytest.raises(ValueError, match="k0 must be positive and finite"):
+            DetectorAtomConfig(k0=k0)
 
 
 @given(
-    name=st.sampled_from(
-        ["bohr_radius", "reduced_mass", "charge", "binding_energy", "k0", "phi", "volume"]
-    ),
+    name=st.sampled_from(["k0", "phi"]),
     value=st.sampled_from([math.nan, math.inf, -math.inf]),
 )
-@example(name="bohr_radius", value=math.nan)
+@example(name="k0", value=math.nan)
 @example(name="k0", value=math.inf)
-@example(name="binding_energy", value=math.nan)
+@example(name="phi", value=math.nan)
 def test_nonfinite_config_rejected(name, value):
-    kwargs = dict(bohr_radius=1.0, reduced_mass=1.0, charge=1.0, binding_energy=-0.5)
-    kwargs[name] = value
     with pytest.raises(ValueError):
-        DetectorAtomConfig(**kwargs)
+        DetectorAtomConfig(**{name: value})
 
 
 def test_energy_mismatch_values():
@@ -63,7 +49,7 @@ def test_energy_mismatch_values():
 
 def test_resonant_wavenumber():
     assert np.abs(resonant_wavenumber(HYDROGEN) - 1.0) < 1e-15
-    starved = DetectorAtomConfig.hydrogen(k0=0.4)
+    starved = DetectorAtomConfig(k0=0.4)
     with pytest.raises(ValueError):
         resonant_wavenumber(starved)
 
@@ -141,23 +127,25 @@ def test_mismatch_integral_scales_like_golden_rule():
 
 def test_form_factor_decreasing():
     k = np.array([0.0, 0.5, 1.0, 2.0, 4.0])
-    vals = form_factor(HYDROGEN, k)
+    vals = form_factor(k)
     assert np.all(vals > 0.0)
     assert np.all(np.diff(vals) < 0.0)
 
 
 def test_overlap_factor_magnitudes():
     assert np.abs(np.abs(mode_overlap_factor(HYDROGEN)) - 1.0) < 1e-15
-    dark = DetectorAtomConfig.hydrogen(phi=math.pi / 2.0)
+    dark = DetectorAtomConfig(phi=math.pi / 2.0)
     assert np.abs(mode_overlap_factor(dark)) < 1e-15
-    bright = DetectorAtomConfig.hydrogen(phi=-math.pi / 2.0)
+    bright = DetectorAtomConfig(phi=-math.pi / 2.0)
     assert np.abs(np.abs(mode_overlap_factor(bright)) - math.sqrt(2.0)) < 1e-15
 
 
 def test_split_state_normalized():
     for phi in (0.0, 1.1, math.pi):
-        state = split_photon_state(phi)
-        assert np.abs(state.norm() - 1.0) < 1e-15
+        for n_max in (1, 4):
+            state = split_photon_state(phi, n_max)
+            assert [len(rung) for rung in state] == list(range(1, n_max + 2))
+            assert np.abs(np.linalg.norm(np.concatenate(state)) - 1.0) < 1e-15
     with pytest.raises(ValueError):
         split_photon_state(0.0, n_max=0)
 
@@ -195,3 +183,55 @@ def test_selection_rule_wavenumber_scaling():
     for k0 in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="wavenumber must be positive and finite"):
             absorption_matrix_element_check(split_photon_state(0.3), k0=k0)
+
+
+def test_absorption_check_rejects_malformed_rungs():
+    for state in ([np.ones(1, dtype=complex)], [np.zeros(1), np.zeros(3)], [np.zeros(1), np.zeros(1)]):
+        with pytest.raises(ValueError, match="rung k of k \\+ 1 amplitudes"):
+            absorption_matrix_element_check(state)
+
+
+def _dense_lowering(state, k0):
+    """Test-only reference: (a_t + a_r) / sqrt(k0) on the dense grid
+    psi[i, j] of |i>_t |j>_r, one creation-matrix product per arm."""
+    n_max = len(state) - 1
+    psi = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    for k, rung in enumerate(state):
+        j = np.arange(k + 1)
+        psi[k - j, j] = rung
+    create = creation_matrix(n_max)
+    return (create.T @ psi + psi @ create) / math.sqrt(k0)
+
+
+@given(
+    n_max=st.integers(1, 10),
+    k0=st.floats(0.05, 20.0),
+    seed=st.integers(0, 2**32 - 1),
+    keep=st.floats(0.0, 1.0),
+    cancel=st.booleans(),
+)
+@example(n_max=1, k0=1.0, seed=0, keep=1.0, cancel=True)
+@example(n_max=10, k0=0.3, seed=1, keep=0.5, cancel=False)
+def test_absorption_check_matches_dense_reference(n_max, k0, seed, keep, cancel):
+    # Random complex rungs with a share of the amplitudes zeroed, so some
+    # sectors are empty; with cancel the one-photon paths cancel in the vacuum.
+    rng = np.random.default_rng(seed)
+    state = [
+        (rng.normal(size=k + 1) + 1j * rng.normal(size=k + 1)) * (rng.uniform(size=k + 1) < keep)
+        for k in range(n_max + 1)
+    ]
+    if cancel:
+        state[1][1] = -state[1][0]
+    report = absorption_matrix_element_check(state, k0=k0)
+    lowered = _dense_lowering(state, k0)
+    magnitudes = np.abs(lowered)
+    others = magnitudes.copy()
+    others[0, 0] = 0.0
+    scale = max(magnitudes.max(), 1e-300)
+    assert report.n_max == n_max
+    assert abs(report.vacuum_amplitude - lowered[0, 0]) <= 1e-14 * scale
+    assert abs(report.largest_other - others.max()) <= 1e-14 * scale
+    assert report.nonzero_count == int((magnitudes > 1e-12).sum())
+    assert report.amplitude_vanishes == (abs(lowered[0, 0]) <= 1e-12)
+    if keep == 1.0:
+        assert report.amplitude_vanishes == cancel
