@@ -14,13 +14,16 @@ the paired photon is counted form two more, exclusive of each other.
 At the experiment's operating point a counter fires in a few percent of
 gates, so the sampler draws each event set sparsely, as a Poisson number
 of marks on random gates, and compares one uniform per gate only where a
-set's mean marks per gate make that cheaper.  The same independence gives the
-exact per-gate probabilities at finite efficiency (gate_probabilities)
-and the exact ratio (exact_alpha) that the Monte Carlo converges to.  The source
-time between gates is exponential, but the counters never read a single
-wait: a chunk of g gates draws its total wait as one Gamma(g) variate,
-and the chunk where a run_time stop falls is halved by Beta splits of
-that total until a leaf of a few hundred gates draws its waits.
+set's mean marks per gate make that cheaper.  The same independence gives
+the exact per-gate probabilities at finite efficiency (gate_probabilities)
+and the exact ratio (exact_alpha) that the Monte Carlo converges to.  In
+the 'physical' arrival mode the photon's exponential delay is drawn only
+at the gates where a counter reads it, those where the photon is routed
+to a counter, and the other gates' arrivals are one Binomial draw.  The
+source time between gates is exponential, but the counters never read a
+single wait: a chunk of g gates draws its total wait as one Gamma(g)
+variate, and the chunk where a run_time stop falls is halved by Beta
+splits of that total until a leaf of a few hundred gates draws its waits.
 """
 
 from __future__ import annotations
@@ -310,10 +313,11 @@ def simulate(cfg: CascadeConfig) -> CountRecord:
     p_t = t^2 eps_t, p_r = r^2 eps_r and s = f in 'analytic' mode.  There
     the arrival count adds, to the counted photons, a Binomial draw over
     the other gates at the arrival probability of an uncounted photon.  In
-    'physical' mode s = 1, every gate draws the photon's exponential
-    delay, and a counted routing stands only where the photon arrived; for
-    a > 1 a promotion draw at each routed gate whose delay missed, and a
-    Binomial over the other missed gates, complete the arrivals.
+    'physical' mode s = 1, so arrival is independent of routing.  Each
+    routed gate draws the photon's exponential delay, and for a > 1 a
+    promotion uniform that lets a late photon arrive; its counted routing
+    stands only where the photon arrived.  One Binomial draw at min(1, f)
+    over the gates no counter reads completes the arrivals.
     Accidental photons, Poisson with mean N w thinned by
     accidental_collection, split into independent per-arm Poisson streams,
     so each arm's accidental marks are one more event set (_mark_events).
@@ -386,17 +390,15 @@ def simulate(cfg: CascadeConfig) -> CountRecord:
             counted = np.count_nonzero(hits)
             arrivals += counted + int(rng.binomial(g - counted, arrive_uncounted))
         else:
-            arrived = rng.standard_exponential(g) < delay_cut
-            arrived_count = int(np.count_nonzero(arrived))
+            # Only a routed gate reads its photon's delay.
+            routed = np.flatnonzero(hit_t | hit_r)
+            late = rng.standard_exponential(routed.size) >= delay_cut
             if promote > 0.0:
-                # Only a routed gate reads its own promotion draw.
-                missed = np.flatnonzero((hit_t | hit_r) > arrived)
-                promoted = missed[rng.random(missed.size) < promote]
-                arrived[promoted] = True
-                unread = g - arrived_count - missed.size
-                arrived_count += promoted.size + int(rng.binomial(unread, promote))
-            arrivals += arrived_count
-            hits &= arrived
+                late &= rng.random(routed.size) >= promote
+            hits[:, routed[late]] = False
+            # f may exceed 1 by rounding.
+            unrouted = int(rng.binomial(g - routed.size, min(1.0, f)))
+            arrivals += routed.size - int(np.count_nonzero(late)) + unrouted
         _mark_events(rng, hits, acc_t, acc_r)
 
         n1 += g

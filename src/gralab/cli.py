@@ -72,6 +72,9 @@ def _format_cell(value) -> str:
 
 
 def _write_table(out_dir: Path, name: str, fmt: str, header: list[str], rows) -> Path:
+    # Every run writes a table before any other file, so the output directory
+    # is made here, on first write, and a rejected run leaves none.
+    out_dir.mkdir(parents=True, exist_ok=True)
     rows = [list(row) for row in rows]
     if fmt == "json":
         path = out_dir / f"{name}.json"
@@ -631,7 +634,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     out_dir = Path(args.out_dir or os.environ.get("GRALAB_OUT_DIR") or "out")
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         return args.func(args, out_dir)
     except ValueError as exc:

@@ -345,10 +345,20 @@ def test_certain_accidentals_fill_every_gate(mode):
     assert rec.nt_counts == rec.nr_counts == rec.nc_counts == 70_000
 
 
-def test_certain_arrival_reaches_every_gate():
-    cfg = _config(correlation_factor=correlation_for_f(1.0), epsilon_t=0.5, epsilon_r=0.5, target_gates=70_000)
-    assert f_omega(cfg) == pytest.approx(1.0, abs=1e-15)
-    assert simulate(cfg).trigger_arrivals == 70_000
+@pytest.mark.parametrize("mode", ["analytic", "physical"])
+def test_certain_arrival_reaches_every_gate(mode):
+    # 1 + 1e-13 lies inside the config's tolerance on f; an arrival
+    # probability drawn at it unclamped would make the Binomial raise.
+    for f in (1.0, 1.0 + 1e-13):
+        cfg = _config(
+            correlation_factor=correlation_for_f(f),
+            epsilon_t=0.5,
+            epsilon_r=0.5,
+            arrival_mode=mode,
+            target_gates=70_000,
+        )
+        assert f_omega(cfg) == pytest.approx(f, abs=1e-15)
+        assert simulate(cfg).trigger_arrivals == 70_000
 
 
 def test_run_time_stop_inside_first_leaf():
@@ -482,14 +492,17 @@ def _reference_counts(cfg: CascadeConfig, rng: np.random.Generator) -> tuple[int
     return int(hit_t.sum()), int(hit_r.sum()), int((hit_t & hit_r).sum()), int(arrived.sum())
 
 
-# (Nw, arrival mode, f, t^2, accidental collection); Nw = 0 switches collection off.
+# (Nw, arrival mode, f, t^2, accidental collection, arm efficiencies);
+# Nw = 0 switches collection off.
 REFERENCE_POINTS = [
-    (0.0, "analytic", 0.9, 0.5, 0.0),
-    (0.0, "physical", F_BASE, 0.8, 0.0),
-    (0.3, "analytic", F_BASE, 0.8, 1.0),
-    (0.3, "physical", 0.95, 0.5, 0.5),
-    (3.0, "analytic", 0.9, 0.8, 0.5),
-    (3.0, "physical", 0.9, 0.8, 1.0),
+    (0.0, "analytic", 0.9, 0.5, 0.0, (0.3, 0.2)),
+    (0.0, "physical", F_BASE, 0.8, 0.0, (0.3, 0.2)),
+    (0.3, "analytic", F_BASE, 0.8, 1.0, (0.3, 0.2)),
+    (0.3, "physical", 0.95, 0.5, 0.5, (0.3, 0.2)),
+    (3.0, "analytic", 0.9, 0.8, 0.5, (0.3, 0.2)),
+    (3.0, "physical", 0.9, 0.8, 1.0, (0.3, 0.2)),
+    # Route means above _SPARSE_MAX_MEAN: both routing rows are drawn dense.
+    (0.3, "physical", 0.9, 0.5, 1.0, (0.9, 0.9)),
 ]
 
 
@@ -507,10 +520,19 @@ def _point_config(n_omega, mode, f, t2, collection, gates, seed, eps_t=0.3, eps_
     )
 
 
-@pytest.mark.parametrize("n_omega,mode,f,t2,collection", REFERENCE_POINTS)
-def test_simulate_matches_exact_probabilities_and_reference_sampler(n_omega, mode, f, t2, collection):
+def _reference_id(row) -> str:
+    """Nw, mode, f, t^2 and collection, then the arm efficiencies where
+    they differ from _point_config's defaults."""
+    head, eps = row[:5], row[5]
+    return "-".join(map(str, head if eps == (0.3, 0.2) else head + eps))
+
+
+@pytest.mark.parametrize(
+    "n_omega,mode,f,t2,collection,eps", REFERENCE_POINTS, ids=[_reference_id(row) for row in REFERENCE_POINTS]
+)
+def test_simulate_matches_exact_probabilities_and_reference_sampler(n_omega, mode, f, t2, collection, eps):
     gates = 300_000
-    cfg = _point_config(n_omega, mode, f, t2, collection, gates, seed=17)
+    cfg = _point_config(n_omega, mode, f, t2, collection, gates, seed=17, eps_t=eps[0], eps_r=eps[1])
     rec = simulate(cfg)
     ref = _reference_counts(cfg, np.random.default_rng(23))
     big_t, big_r, big_c = gate_probabilities(cfg)

@@ -242,7 +242,7 @@ def test_cascade_config_rejects_unread_or_mistyped_keys(tmp_path, capsys, entry,
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and repr(key) in err
-    assert list(out_dir.iterdir()) == []
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize(
@@ -269,7 +269,7 @@ def test_cascade_nonfinite_input_is_named(tmp_path, capsys, argv, entry, named):
     assert main(["--out-dir", str(out_dir), "cascade", "--gates", "2000", *argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
-    assert list(out_dir.iterdir()) == []
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize(
@@ -290,7 +290,7 @@ def test_cascade_sweep_list_needs_sweep(tmp_path, capsys, argv, entry, named):
     assert main(["--out-dir", str(out_dir), "cascade", "--gates", "1000", *argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err and "--sweep" in err
-    assert list(out_dir.iterdir()) == []
+    assert not out_dir.exists()
 
 
 def test_beables_sweep_needs_region_2(tmp_path, capsys):
@@ -298,7 +298,7 @@ def test_beables_sweep_needs_region_2(tmp_path, capsys):
     assert main(["--out-dir", str(out_dir), "beables", "--region", "1", "--sweep"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "--sweep" in err and "--region 2" in err
-    assert list(out_dir.iterdir()) == []
+    assert not out_dir.exists()
 
 
 def test_beables_region1_with_checks(tmp_path, capsys):
@@ -467,7 +467,7 @@ def test_photodetect_photon_below_binding_energy_writes_nothing(tmp_path, capsys
     out_dir = tmp_path / "out"
     assert main(["--out-dir", str(out_dir), "photodetect", "--k0", "0.1"]) == 1
     assert "binding energy" in capsys.readouterr().err
-    assert list(out_dir.iterdir()) == []
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("time", ["nan", "inf"])
