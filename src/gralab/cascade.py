@@ -20,6 +20,8 @@ and the exact ratio (exact_alpha) that the Monte Carlo converges to.  In
 the 'physical' arrival mode the photon's exponential delay is drawn only
 at the gates where a counter reads it, those where the photon is routed
 to a counter, and the other gates' arrivals are one Binomial draw.  The
+routed gates are read from the routing draw's mark positions, one delay
+per mark, rather than found by scanning the chunk.  The
 source time between gates is exponential, but the counters never read a
 single wait: a chunk of g gates draws its total wait as one Gamma(g)
 variate, and the chunk where a run_time stop falls is halved by Beta
@@ -105,6 +107,10 @@ class CascadeConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1]")
+        # The gate rate N epsilon_1 sets the mean wait between gates.
+        gate_rate = self.decay_rate * self.epsilon_1
+        if not (gate_rate > 0.0 and 1.0 / gate_rate < math.inf):
+            raise ConfigError("epsilon_1 leaves the mean wait 1 / (N epsilon_1) between gates infinite")
         if self.arrival_mode not in ("analytic", "physical"):
             raise ConfigError("arrival mode must be 'analytic' or 'physical'")
         if (self.run_time is None) == (self.target_gates is None):
@@ -231,7 +237,9 @@ def _events_lambda(p: float) -> float:
     return -math.log1p(-p) if p < 1.0 else math.inf
 
 
-def _mark_events(rng: np.random.Generator, hits: np.ndarray, lam_t: float, lam_r: float) -> None:
+def _mark_events(
+    rng: np.random.Generator, hits: np.ndarray, lam_t: float, lam_r: float
+) -> np.ndarray | None:
     """Or into the two rows of hits, one per arm, independent event sets:
     each gate is set in a row with probability 1 - e^(-lam), independently
     of other gates, for a mean of lam marks per gate.
@@ -243,9 +251,18 @@ def _mark_events(rng: np.random.Generator, hits: np.ndarray, lam_t: float, lam_r
     _SPARSE_MAX_MEAN compares one uniform per gate with 1 - e^(-lam)
     instead; the sparse rows share one draw of mark positions, which saves
     a generator call.
+
+    Returns the gates of the marks placed, the first row's then the
+    second's, with a gate repeated once per extra mark on it; so every gate
+    set by this call appears at least once.  Returns None when a row was
+    drawn by uniforms, since its gates carry no marks.  A caller that
+    scatters one independent draw per mark onto the gates leaves each gate
+    one draw of the same law: of several marks on a gate, which one's draw
+    survives depends only on the order of the positions, not on the draws.
     """
     g = hits.shape[1]
     counts = [0, 0]
+    dense = False
     for i, lam in enumerate((lam_t, lam_r)):
         if lam <= 0.0:
             continue
@@ -253,25 +270,32 @@ def _mark_events(rng: np.random.Generator, hits: np.ndarray, lam_t: float, lam_r
             counts[i] = int(rng.poisson(g * lam))
         else:
             hits[i] |= rng.random(g) < -math.expm1(-lam)
+            dense = True
     n_t, n_r = counts
+    marks = np.empty(0, dtype=np.intp)
     if n_t + n_r:
         marks = (rng.random(n_t + n_r) * g).astype(np.intp)
         hits[0][marks[:n_t]] = True
         hits[1][marks[n_t:]] = True
+    return None if dense else marks
 
 
-def _route(rng: np.random.Generator, hits: np.ndarray, lam_t: float, lam_r: float) -> None:
+def _route(
+    rng: np.random.Generator, hits: np.ndarray, lam_t: float, lam_r: float
+) -> np.ndarray | None:
     """Overwrite the two rows of hits with exclusive event sets: the gates
     where the paired photon is counted in each arm, the first with
     probability 1 - e^(-lam_t) and the second, among the other gates, with
     probability 1 - e^(-lam_r).
 
     The second row is the event set of mean lam_r with the gates of the
-    first removed.
+    first removed.  Returns _mark_events' mark positions, which cover every
+    routed gate, or None.
     """
     hits.fill(False)
-    _mark_events(rng, hits, lam_t, lam_r)
+    marks = _mark_events(rng, hits, lam_t, lam_r)
     np.greater(hits[1], hits[0], out=hits[1])
+    return marks
 
 
 def _gates_by_stop(
@@ -314,10 +338,16 @@ def simulate(cfg: CascadeConfig) -> CountRecord:
     the arrival count adds, to the counted photons, a Binomial draw over
     the other gates at the arrival probability of an uncounted photon.  In
     'physical' mode s = 1, so arrival is independent of routing.  Each
-    routed gate draws the photon's exponential delay, and for a > 1 a
-    promotion uniform that lets a late photon arrive; its counted routing
-    stands only where the photon arrived.  One Binomial draw at min(1, f)
-    over the gates no counter reads completes the arrivals.
+    routed gate reads the photon's exponential delay, and for a > 1, where
+    the delay missed, a promotion uniform that lets the late photon
+    arrive; its counted routing stands only where the photon arrived.  The
+    draws are made once per routing mark and scattered onto the gates; a
+    gate with several marks keeps one mark's draws, chosen by the order of
+    the positions alone, so every routed gate reads one independent delay
+    and the per-chunk law of (nt, nr, nc, arrivals) is that of one delay
+    per gate.  A routing row drawn by uniforms has no marks; its routed
+    gates are found by a scan.  One Binomial draw at min(1, f) over the
+    gates no counter reads completes the arrivals.
     Accidental photons, Poisson with mean N w thinned by
     accidental_collection, split into independent per-arm Poisson streams,
     so each arm's accidental marks are one more event set (_mark_events).
@@ -364,6 +394,9 @@ def simulate(cfg: CascadeConfig) -> CountRecord:
     last = False
     size = _CHUNK if remaining is None else min(_CHUNK, remaining)
     buf = np.empty(2 * size, dtype=bool)
+    if not analytic:
+        # The routed gates whose photon is late; cleared after each chunk.
+        late_row = np.zeros(size, dtype=bool)
 
     while not last:
         if remaining is not None:
@@ -385,20 +418,27 @@ def simulate(cfg: CascadeConfig) -> CountRecord:
 
         hits = buf[: 2 * g].reshape(2, g)
         hit_t, hit_r = hits[0], hits[1]
-        _route(rng, hits, route_t, route_r)
+        marks = _route(rng, hits, route_t, route_r)
         if analytic:
-            counted = np.count_nonzero(hits)
+            counted = int(np.count_nonzero(hits))
             arrivals += counted + int(rng.binomial(g - counted, arrive_uncounted))
         else:
-            # Only a routed gate reads its photon's delay.
-            routed = np.flatnonzero(hit_t | hit_r)
-            late = rng.standard_exponential(routed.size) >= delay_cut
+            # The rows are exclusive, so this counts routed gates.
+            routed = int(np.count_nonzero(hits))
+            if marks is None:
+                marks = np.flatnonzero(hit_t | hit_r)
+            # One delay per mark; a gate keeps the flag of one of its marks.
+            late = rng.standard_exponential(marks.size) >= delay_cut
             if promote > 0.0:
-                late &= rng.random(routed.size) >= promote
-            hits[:, routed[late]] = False
+                missed = np.flatnonzero(late)
+                late[missed] = rng.random(missed.size) >= promote
+            late_gates = late_row[:g]
+            late_gates[marks] = late
+            np.greater(hits, late_gates, out=hits)
+            n_late = int(np.count_nonzero(late_gates))
+            late_gates[marks] = False
             # f may exceed 1 by rounding.
-            unrouted = int(rng.binomial(g - routed.size, min(1.0, f)))
-            arrivals += routed.size - int(np.count_nonzero(late)) + unrouted
+            arrivals += routed - n_late + int(rng.binomial(g - routed, min(1.0, f)))
         _mark_events(rng, hits, acc_t, acc_r)
 
         n1 += g

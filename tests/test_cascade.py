@@ -95,6 +95,19 @@ def test_config_validation():
 
 @pytest.mark.parametrize(
     "kwargs",
+    [dict(epsilon_1=0.0), dict(epsilon_1=1e-320), dict(decay_rate=1e-300, epsilon_1=1e-10)],
+    ids=["zero", "subnormal", "tiny rate"],
+)
+def test_infinite_mean_wait_raises_config_error(kwargs):
+    # Under a target_gates stop nothing else rejects these: a zero gate rate
+    # would divide by zero in simulate, the others give an infinite elapsed
+    # time.
+    with pytest.raises(ConfigError, match="epsilon_1"):
+        _config(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
     [
         # Only the config is built: a NaN gate count that got through would
         # make simulate loop forever.
@@ -410,6 +423,8 @@ def test_record_invariants_and_determinism(log_n_omega, eps_t, eps_r, f, mode, e
     assert rec.elapsed_sim_time >= rec.total_gates * cfg.gate
     if eps_t == 0.0:
         assert rec.nt_counts == 0
+    counts = (rec.n1_counts, rec.nt_counts, rec.nr_counts, rec.nc_counts, rec.total_gates, rec.trigger_arrivals)
+    assert all(type(c) is int for c in counts)
     assert simulate(cfg) == rec
 
 
@@ -503,6 +518,11 @@ REFERENCE_POINTS = [
     (3.0, "physical", 0.9, 0.8, 1.0, (0.3, 0.2)),
     # Route means above _SPARSE_MAX_MEAN: both routing rows are drawn dense.
     (0.3, "physical", 0.9, 0.5, 1.0, (0.9, 0.9)),
+    # A sparse routing row of mean 0.45: about 21 % of its gates carry two
+    # or more marks, each of which draws a delay.
+    (0.3, "physical", 0.95, 0.6, 1.0, (0.6, 0.3)),
+    # One dense routing row (mean 0.60) and one sparse row (mean 0.047).
+    (0.3, "physical", 0.9, 0.5, 1.0, (0.9, 0.05)),
 ]
 
 

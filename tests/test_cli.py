@@ -255,9 +255,11 @@ def test_cascade_config_rejects_unread_or_mistyped_keys(tmp_path, capsys, entry,
         ([], {"n_omega_values": [0.1, math.nan]}, "Nw"),
         (["--f-target", "nan"], None, "arrival probability"),
         ([], {"f_target": math.nan}, "arrival probability"),
+        # No gate rate: the mean wait between gates is infinite.
+        ([], {"epsilon_1": 0}, "epsilon_1"),
     ],
     ids=["points", "n-omega-nan", "n-omega-inf", "config-n-omega", "config-points",
-         "f-target", "config-f-target"],
+         "f-target", "config-f-target", "config-epsilon-1-zero"],
 )
 def test_cascade_nonfinite_input_is_named(tmp_path, capsys, argv, entry, named):
     # Python's json reads a bare NaN token, so a config file can carry one.
