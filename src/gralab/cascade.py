@@ -62,6 +62,11 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _check_durations(lifetime: float, gate: float) -> None:
+    if not (0.0 < lifetime < math.inf and 0.0 < gate < math.inf):  # NaN fails here
+        raise ConfigError("lifetime and gate width must be positive and finite")
+
+
 @dataclass(frozen=True)
 class CascadeConfig:
     """Source, gate, and detection parameters for one run.
@@ -97,8 +102,7 @@ class CascadeConfig:
         # Written so that NaN fails every comparison and is rejected.
         if not 0.0 < self.decay_rate < math.inf:
             raise ConfigError("decay rate must be positive and finite")
-        if not (0.0 < self.lifetime < math.inf and 0.0 < self.gate < math.inf):
-            raise ConfigError("lifetime and gate width must be positive and finite")
+        _check_durations(self.lifetime, self.gate)
         if not self.correlation_factor >= 1.0:
             raise ConfigError("correlation factor must be at least 1")
         if f_omega(self) > 1.0 + 1e-12:
@@ -141,7 +145,10 @@ def correlation_for_f(f_target: float, lifetime: float = 4.7e-9, gate: float | N
     """Correlation factor that realizes a requested arrival probability."""
     if gate is None:
         gate = 2.0 * lifetime
+    _check_durations(lifetime, gate)
     base = 1.0 - math.exp(-gate / lifetime)
+    if base == 0.0:  # a gate under about 1e-16 lifetimes
+        raise ConfigError("gate width too short against the lifetime for a paired photon to arrive")
     a = f_target / base
     if not 1.0 <= a < math.inf:  # NaN fails here
         raise ConfigError(

@@ -1,9 +1,11 @@
 """Command-line front end: statistics tables, Monte Carlo runs, beable maps.
 
 Global options (seed, output directory, table format) come before the
-subcommand.  Every invocation writes its tables under the output directory
-together with a manifest recording the resolved configuration, the seed,
-engine versions, the emitted files, and the wall-clock duration.
+subcommand.  Each subcommand computes and returns a ``Run`` record; only
+then does ``_write`` make the output directory and write the run's tables,
+plots and documents, its stdout lines and a manifest recording the resolved
+configuration, the seed, engine versions, the emitted files, and the
+wall-clock duration.  A run rejected for bad input writes nothing.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -71,58 +73,81 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _write_table(out_dir: Path, name: str, fmt: str, header: list[str], rows) -> Path:
-    # Every run writes a table before any other file, so the output directory
-    # is made here, on first write, and a rejected run leaves none.
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = [list(row) for row in rows]
+def _write_table(fh, fmt: str, header: list[str], rows) -> None:
+    """Write a table as CSV, row by row, or as a JSON object of columns and rows."""
     if fmt == "json":
-        path = out_dir / f"{name}.json"
         payload = {
             "columns": header,
             "rows": [
                 [v.item() if isinstance(v, np.generic) else v for v in row] for row in rows
             ],
         }
-        path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        return path
-    path = out_dir / f"{name}.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format_cell(v) for v in row])
-    return path
+        fh.write(json.dumps(payload, indent=2) + "\n")
+        return
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    writer.writerows([_format_cell(v) for v in row] for row in rows)
 
 
-def _write_manifest(
-    out_dir: Path, subcommand: str, config: dict, seed: int, outputs: list[Path], t0: float,
-    counters: dict | None = None, results: list[checks.Check] | None = None,
-) -> Path:
+@dataclass
+class Run:
+    """Everything one subcommand computed, for ``_write`` to emit.
+
+    ``tables`` holds (name, header, rows), ``plots`` (name, series,
+    ``line_plot`` keywords) and ``documents`` (name, JSON object); ``lines``
+    are the stdout lines in order.  ``checks`` and ``counters`` go to the
+    manifest when set, and a failed check makes the exit status 1.
+    """
+
+    config: dict
+    tables: list = field(default_factory=list)
+    plots: list = field(default_factory=list)
+    documents: list = field(default_factory=list)
+    lines: list[str] = field(default_factory=list)
+    checks: list[checks.Check] | None = None
+    counters: dict | None = None
+
+
+def _write(run: Run, args, out_dir: Path, t0: float) -> int:
+    """Write a run's files, stdout and manifest; return its exit status."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    outputs = []
+    for name, header, rows in run.tables:
+        outputs.append(f"{name}.{args.format}")
+        with open(out_dir / outputs[-1], "w", newline="", encoding="utf-8") as fh:
+            _write_table(fh, args.format, header, rows)
+    for name, series, keywords in run.plots:
+        outputs.append(f"{name}.svg")
+        svgplot.line_plot(out_dir / outputs[-1], series, **keywords)
+    for name, document in run.documents:
+        outputs.append(f"{name}.json")
+        (out_dir / outputs[-1]).write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
+    for line in run.lines:
+        print(line)
+
     payload = {
-        "subcommand": subcommand,
-        "config": config,
-        "rng_seed": seed,
+        "subcommand": args.command,
+        "config": run.config,
+        "rng_seed": args.seed,
         "engine_versions": {
             "gralab": __version__,
             "numpy": np.__version__,
             "python": platform.python_version(),
         },
-        "outputs": [p.name for p in outputs],
+        "outputs": outputs,
         "duration_seconds": time.monotonic() - t0,
     }
-    if counters is not None:
-        payload["counters"] = counters
-    if results is not None:
+    if run.counters is not None:
+        payload["counters"] = run.counters
+    if run.checks is not None:
         # Strict JSON has no NaN or infinity: a non-finite check value is null.
         payload["checks"] = [
             {**asdict(check), "value": check.value if math.isfinite(check.value) else None}
-            for check in results
+            for check in run.checks
         ]
-    path = out_dir / f"{subcommand}_manifest.json"
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    path.write_text(text + "\n", encoding="utf-8")
-    return path
+    (out_dir / f"{args.command}_manifest.json").write_text(text + "\n", encoding="utf-8")
+    return 0 if run.checks is None or all(check.passed for check in run.checks) else 1
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -148,8 +173,7 @@ def _seconds_key(config: dict, base: str) -> float | None:
     return None if plain is None else float(plain)
 
 
-def cmd_g2(args, out_dir: Path) -> int:
-    t0 = time.monotonic()
+def cmd_g2(args) -> Run:
     bs = fock.BeamSplitter.from_transmittance(args.t2)
     header = ["state", "g2"]
     if args.oracle:
@@ -164,22 +188,18 @@ def cmd_g2(args, out_dir: Path) -> int:
             row += [check, abs(check - value)]
             oracle_runs.append({"state": row[0], "n_max": n_max, "tail": tail})
         rows.append(row)
-    for row in rows:
-        print("  ".join(_format_cell(v) if not isinstance(v, str) else v for v in row))
-    table = _write_table(out_dir, "g2", args.format, header, rows)
     config = {
         "states": [_describe_state(s) for s in args.states],
         "transmittance": args.t2,
         "oracle": bool(args.oracle),
         "n_max": args.n_max,
     }
+    lines = ["  ".join(_format_cell(v) for v in row) for row in rows]
     counters = {"oracle": oracle_runs} if args.oracle else None
-    _write_manifest(out_dir, "g2", config, args.seed, [table], t0, counters)
-    return 0
+    return Run(config, tables=[("g2", header, rows)], lines=lines, counters=counters)
 
 
-def cmd_classical(args, out_dir: Path) -> int:
-    t0 = time.monotonic()
+def cmd_classical(args) -> Run:
     rng = np.random.Generator(np.random.PCG64(args.seed))
     scale = args.scale
     # NaN fails the comparison; numpy's samplers would raise their own errors.
@@ -202,12 +222,8 @@ def cmd_classical(args, out_dir: Path) -> int:
     p_t, p_r = classical.singles_probabilities(ensemble)
     p_c = classical.coincidence_probability(ensemble)
     alpha = classical.classical_alpha(ensemble)
-    print(f"law={args.law} samples={args.samples}")
-    print(f"p_t={p_t:.6e} p_r={p_r:.6e} p_c={p_c:.6e}")
-    print(f"alpha={alpha:.9f} admissible={ensemble.admissible}")
     header = ["law", "samples", "p_t", "p_r", "p_c", "alpha", "admissible"]
     rows = [[args.law, args.samples, p_t, p_r, p_c, alpha, ensemble.admissible]]
-    table = _write_table(out_dir, "classical", args.format, header, rows)
     config = {
         "law": args.law,
         "samples": args.samples,
@@ -216,8 +232,12 @@ def cmd_classical(args, out_dir: Path) -> int:
         "alpha_t": args.eff_t,
         "alpha_r": args.eff_r,
     }
-    _write_manifest(out_dir, "classical", config, args.seed, [table], t0)
-    return 0
+    lines = [
+        f"law={args.law} samples={args.samples}",
+        f"p_t={p_t:.6e} p_r={p_r:.6e} p_c={p_c:.6e}",
+        f"alpha={alpha:.9f} admissible={ensemble.admissible}",
+    ]
+    return Run(config, tables=[("classical", header, rows)], lines=lines)
 
 
 # The keys a cascade --config file may set: JSON numbers, then the Nw sweep
@@ -300,8 +320,7 @@ def _cascade_template(args) -> tuple[cascade.CascadeConfig, list[float], float]:
     return template, points, n_omega
 
 
-def cmd_cascade(args, out_dir: Path) -> int:
-    t0 = time.monotonic()
+def cmd_cascade(args) -> Run:
     template, points, n_omega = _cascade_template(args)
     header = ["n_omega", "alpha_mc", "alpha_analytic", "stderr", "gates", "alpha_exact"]
     t_compute = time.monotonic()
@@ -311,12 +330,11 @@ def cmd_cascade(args, out_dir: Path) -> int:
         [p.n_omega, p.alpha_mc, p.alpha_analytic, p.stderr, p.gates, p.alpha_exact]
         for p in results
     ]
-    for p in results:
-        print(
-            f"Nw={p.n_omega:g} alpha={p.alpha_mc:.6f} +- {p.stderr:.6f} "
-            f"(analytic {p.alpha_analytic:.6f}, {p.gates} gates)"
-        )
-    outputs = [_write_table(out_dir, "cascade_curve", args.format, header, rows)]
+    lines = [
+        f"Nw={p.n_omega:g} alpha={p.alpha_mc:.6f} +- {p.stderr:.6f} "
+        f"(analytic {p.alpha_analytic:.6f}, {p.gates} gates)"
+        for p in results
+    ]
 
     f = cascade.f_omega(template)
     xs = np.logspace(-3.0, 1.0, 181)
@@ -339,16 +357,7 @@ def cmd_cascade(args, out_dir: Path) -> int:
     # The exact ratio at the run's efficiencies, which the measurement converges to.
     exact = [cascade.exact_alpha(replace(template, decay_rate=float(x) / template.gate)) for x in xs]
     series.append(svgplot.Series(x=list(xs), y=exact, label="exact"))
-    svg = out_dir / "cascade_curve.svg"
-    svgplot.line_plot(
-        svg,
-        series,
-        title=f"Coincidence ratio, f = {f:.3f}",
-        xlabel="N w",
-        ylabel="alpha",
-        logx=True,
-    )
-    outputs.append(svg)
+    plot = dict(title=f"Coincidence ratio, f = {f:.3f}", xlabel="N w", ylabel="alpha", logx=True)
 
     config = asdict(template)
     config["n_omega_values" if args.sweep else "n_omega"] = points if args.sweep else n_omega
@@ -361,8 +370,8 @@ def cmd_cascade(args, out_dir: Path) -> int:
             "elapsed_sim_time": [p.elapsed_sim_time for p in results],
         }
     }
-    _write_manifest(out_dir, "cascade", config, args.seed, outputs, t0, counters)
-    return 0
+    tables, plots = [("cascade_curve", header, rows)], [("cascade_curve", series, plot)]
+    return Run(config, tables=tables, plots=plots, lines=lines, counters=counters)
 
 
 def _beables_pair(args) -> beables.ModePair:
@@ -377,25 +386,20 @@ def _beables_pair(args) -> beables.ModePair:
     )
 
 
-_FIELD_HEADER = [
-    "s",
-    "a_x", "a_y", "a_z",
-    "e_x", "e_y", "e_z",
-    "b_x", "b_y", "b_z",
-    "i_x", "i_y", "i_z",
-]
+# Arc length, then the x, y, z components of A, E, B and the intensity I.
+_FIELD_HEADER = ["s", *(f"{name}_{axis}" for name in "aebi" for axis in "xyz")]
 
 
-def _report(results: list[checks.Check]) -> bool:
-    """Print one line per check and return whether all of them passed."""
-    for check in results:
-        tag = "ok" if check.passed else "FAIL"
-        print(f"[{tag}] {check.label}: {check.value:.3e} (bound {check.bound:.1e})")
-    return all(check.passed for check in results)
+def _report(results: list[checks.Check]) -> list[str]:
+    """One stdout line per check: its verdict, value and bound."""
+    return [
+        f"[{'ok' if check.passed else 'FAIL'}] {check.label}: {check.value:.3e} "
+        f"(bound {check.bound:.1e})"
+        for check in results
+    ]
 
 
-def cmd_beables(args, out_dir: Path) -> int:
-    t0 = time.monotonic()
+def cmd_beables(args) -> Run:
     if args.sweep and args.region == 1:
         raise ValueError("--sweep is the region-2 phase sweep and needs --region 2")
     pair = _beables_pair(args)
@@ -422,7 +426,7 @@ def cmd_beables(args, out_dir: Path) -> int:
         "vacuum_modes": args.vacuum,
         "check": bool(args.check),
     }
-    outputs, results = [], None
+    run = Run(config)
     if args.region == 1:
         config.update(phase_a=pair.phase_a, phase_b=pair.phase_b, periods=args.periods)
         omega = max(beables.mode_frequencies(pair))
@@ -431,33 +435,25 @@ def cmd_beables(args, out_dir: Path) -> int:
             [t, q_a.real, q_a.imag, q_b.real, q_b.imag]
             for t, q_a, q_b in zip(trajectory.times, trajectory.q_a, trajectory.q_b)
         ]
-        header = ["t", "re_q_a", "im_q_a", "re_q_b", "im_q_b"]
-        outputs.append(_write_table(out_dir, "trajectory", args.format, header, rows))
+        run.tables.append(("trajectory", ["t", "re_q_a", "im_q_a", "re_q_b", "im_q_b"], rows))
     else:
         config.update(phi=args.phi, sweep=bool(args.sweep))
 
     if args.region == 2 and args.sweep:
         phis = np.linspace(0.0, 2.0 * math.pi, 72, endpoint=False)
         i_c, i_d = beables.beam_intensity_curves(pair, phis, args.volume)
-        rows = list(zip(phis, i_c, i_d))
-        outputs.append(
-            _write_table(out_dir, "visibility", args.format, ["phi", "i_c", "i_d"], rows)
+        run.tables.append(("visibility", ["phi", "i_c", "i_d"], list(zip(phis, i_c, i_d))))
+        series = [
+            svgplot.Series(x=list(phis), y=list(i_c), label="beam c"),
+            svgplot.Series(x=list(phis), y=list(i_d), label="beam d"),
+        ]
+        plot = dict(title="Averaged output intensities", xlabel="phi", ylabel="intensity")
+        run.plots.append(("visibility", series, plot))
+        run.lines.append(
+            f"visibility c={beables.visibility(i_c):.12f} d={beables.visibility(i_d):.12f}"
         )
-        svg = out_dir / "visibility.svg"
-        svgplot.line_plot(
-            svg,
-            [
-                svgplot.Series(x=list(phis), y=list(i_c), label="beam c"),
-                svgplot.Series(x=list(phis), y=list(i_d), label="beam d"),
-            ],
-            title="Averaged output intensities",
-            xlabel="phi",
-            ylabel="intensity",
-        )
-        outputs.append(svg)
-        print(f"visibility c={beables.visibility(i_c):.12f} d={beables.visibility(i_d):.12f}")
         if args.check:
-            results = checks.fringes(i_c, i_d)
+            run.checks = checks.fringes(i_c, i_d)
     else:
         # Frames along the diagonal of the two beam directions, from one batched call.
         direction = pair.k_a / np.linalg.norm(pair.k_a) + pair.k_b / np.linalg.norm(pair.k_b)
@@ -470,93 +466,62 @@ def cmd_beables(args, out_dir: Path) -> int:
             frame = beables.beables_region2(pair, args.phi, points, 0.0, args.volume, vacuum)
         columns = (frame.vector_potential, frame.electric_field, frame.magnetic_field, frame.intensity)
         field_rows = np.column_stack((s,) + columns).tolist()
-        outputs.append(_write_table(out_dir, "fields", args.format, _FIELD_HEADER, field_rows))
+        run.tables.append(("fields", _FIELD_HEADER, field_rows))
         if args.region == 1:
-            svg = out_dir / "fields.svg"
-            svgplot.line_plot(
-                svg,
-                [
-                    svgplot.Series(x=list(s), y=[row[3] for row in field_rows], label="A_z"),
-                    svgplot.Series(x=list(s), y=[row[6] for row in field_rows], label="E_z"),
-                    svgplot.Series(
-                        x=list(s),
-                        y=[math.hypot(row[10], row[11]) for row in field_rows],
-                        label="|I|",
-                    ),
-                ],
-                title="Divided-region beables along the beam diagonal",
-                xlabel="s",
-                ylabel="field",
-            )
-            outputs.append(svg)
+            series = [
+                svgplot.Series(x=list(s), y=[row[3] for row in field_rows], label="A_z"),
+                svgplot.Series(x=list(s), y=[row[6] for row in field_rows], label="E_z"),
+                svgplot.Series(
+                    x=list(s), y=[math.hypot(row[10], row[11]) for row in field_rows], label="|I|"
+                ),
+            ]
+            title = "Divided-region beables along the beam diagonal"
+            run.plots.append(("fields", series, dict(title=title, xlabel="s", ylabel="field")))
         if args.check and args.region == 1:
-            results = checks.region1(pair, args.volume, vacuum)
+            run.checks = checks.region1(pair, args.volume, vacuum)
         elif args.check:
-            results = checks.frames(pair, args.phi, checks.RECOMBINED_T, args.volume, vacuum)
+            run.checks = checks.frames(pair, args.phi, checks.RECOMBINED_T, args.volume, vacuum)
 
-    ok = results is None or _report(results)
-    _write_manifest(out_dir, "beables", config, args.seed, outputs, t0, results=results)
-    return 0 if ok else 1
+    if run.checks is not None:
+        run.lines += _report(run.checks)
+    return run
 
 
-def cmd_photodetect(args, out_dir: Path) -> int:
-    t0 = time.monotonic()
+def cmd_photodetect(args) -> Run:
     if not 0.0 < args.k_max < math.inf:
         raise ValueError("spectrum wavenumber range must be positive and finite")
     cfg = photodetect.DetectorAtomConfig(k0=args.k0, phi=args.phi)
-    # Rejects a photon below the binding energy before any file is written.
     k_res = photodetect.resonant_wavenumber(cfg)
-    outputs = []
-
     k_grid = np.linspace(0.0, args.k_max, args.samples)
     mismatch = photodetect.energy_mismatch(cfg, k_grid)
     eta2 = np.abs(photodetect.eta(cfg, k_grid, args.time)) ** 2
-    rows = list(zip(k_grid, mismatch, eta2))
-    outputs.append(
-        _write_table(out_dir, "spectrum", args.format, ["k_en", "e_mismatch", "eta2"], rows)
-    )
-
     t_grid = np.linspace(0.0, args.time, 81)
     growth = [float(np.abs(photodetect.eta(cfg, k_res, t)) ** 2) for t in t_grid]
-    outputs.append(
-        _write_table(out_dir, "growth", args.format, ["t", "eta2_resonant"], list(zip(t_grid, growth)))
+    tables = [
+        ("spectrum", ["k_en", "e_mismatch", "eta2"], list(zip(k_grid, mismatch, eta2))),
+        ("growth", ["t", "eta2_resonant"], list(zip(t_grid, growth))),
+    ]
+    series = [svgplot.Series(x=list(mismatch), y=list(eta2), label="|eta|^2")]
+    plot = dict(
+        title=f"Ejection spectrum after t = {args.time:g}", xlabel="energy mismatch", ylabel="|eta|^2"
     )
-
-    svg = out_dir / "spectrum.svg"
-    svgplot.line_plot(
-        svg,
-        [svgplot.Series(x=list(mismatch), y=list(eta2), label="|eta|^2")],
-        title=f"Ejection spectrum after t = {args.time:g}",
-        xlabel="energy mismatch",
-        ylabel="|eta|^2",
-    )
-    outputs.append(svg)
 
     report = photodetect.absorption_matrix_element_check(
         photodetect.split_photon_state(args.phi, args.n_max), k0=args.k0
     )
     vacuum = report.vacuum_amplitude
     selection = {**asdict(report), "vacuum_amplitude": [vacuum.real, vacuum.imag]}
-    selection_path = out_dir / "selection.json"
-    selection_path.write_text(json.dumps(selection, indent=2) + "\n", encoding="utf-8")
-    outputs.append(selection_path)
-
     results = checks.absorption(report)
-    ok = _report(results)
+    lines = _report(results)
     if report.amplitude_vanishes:
-        print("note: the two path amplitudes cancel at this phase; no absorption")
-    print(f"resonant wavenumber k_en = {k_res:g}")
+        lines.append("note: the two path amplitudes cancel at this phase; no absorption")
+    lines.append(f"resonant wavenumber k_en = {k_res:g}")
 
-    config = {
-        "k0": args.k0,
-        "phi": args.phi,
-        "time": args.time,
-        "k_max": args.k_max,
-        "samples": args.samples,
-        "n_max": args.n_max,
-    }
-    _write_manifest(out_dir, "photodetect", config, args.seed, outputs, t0, results=results)
-    return 0 if ok else 1
+    config = {key: getattr(args, key) for key in ("k0", "phi", "time", "k_max", "samples", "n_max")}
+    return Run(
+        config, tables=tables, plots=[("spectrum", series, plot)],
+        documents=[("selection", selection)], lines=lines, checks=results,
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -634,8 +599,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     out_dir = Path(args.out_dir or os.environ.get("GRALAB_OUT_DIR") or "out")
+    t0 = time.monotonic()
     try:
-        return args.func(args, out_dir)
+        return _write(args.func(args), args, out_dir, t0)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

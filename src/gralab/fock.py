@@ -98,13 +98,6 @@ class ChaoticState:
         if not 0.0 < self.u < 1.0:
             raise ValueError("weight ratio must lie strictly in (0, 1)")
 
-    @classmethod
-    def from_temperature_ratio(cls, hw_over_kt: float) -> "ChaoticState":
-        """Build from the mode quantum divided by the thermal quantum."""
-        if hw_over_kt <= 0.0:
-            raise ValueError("temperature ratio must be positive")
-        return cls(u=math.exp(-hw_over_kt))
-
     @property
     def mean_photons(self) -> float:
         return self.u / (1.0 - self.u)

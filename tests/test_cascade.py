@@ -47,6 +47,13 @@ def test_correlation_for_f_round_trip():
     for f_target in (0.5, math.nan, math.inf):
         with pytest.raises(ConfigError, match="arrival probability"):
             correlation_for_f(f_target)
+    # A zero lifetime used to divide by zero in the base probability.
+    for lifetime, gate in ((0.0, None), (math.nan, None), (4.7e-9, -1e-9), (4.7e-9, math.inf)):
+        with pytest.raises(ConfigError, match="lifetime and gate width"):
+            correlation_for_f(0.9, lifetime=lifetime, gate=gate)
+    # So did a gate short enough to round the base probability to zero.
+    with pytest.raises(ConfigError, match="gate width too short"):
+        correlation_for_f(0.9, gate=1e-300)
 
 
 def test_analytic_curve_fixed_values():

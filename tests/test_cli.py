@@ -257,9 +257,16 @@ def test_cascade_config_rejects_unread_or_mistyped_keys(tmp_path, capsys, entry,
         ([], {"f_target": math.nan}, "arrival probability"),
         # No gate rate: the mean wait between gates is infinite.
         ([], {"epsilon_1": 0}, "epsilon_1"),
+        # A zero lifetime used to end in a ZeroDivisionError traceback, and a
+        # NaN lifetime or negative gate in an error about the arrival probability.
+        ([], {"lifetime": 0}, "lifetime"),
+        ([], {"lifetime": math.nan}, "lifetime"),
+        ([], {"gate_ns": -1}, "gate"),
+        ([], {"gate": 1e-300}, "gate"),
     ],
     ids=["points", "n-omega-nan", "n-omega-inf", "config-n-omega", "config-points",
-         "f-target", "config-f-target", "config-epsilon-1-zero"],
+         "f-target", "config-f-target", "config-epsilon-1-zero", "config-lifetime-zero",
+         "config-lifetime-nan", "config-gate-negative", "config-gate-underflow"],
 )
 def test_cascade_nonfinite_input_is_named(tmp_path, capsys, argv, entry, named):
     # Python's json reads a bare NaN token, so a config file can carry one.
@@ -378,6 +385,10 @@ def test_beables_region2_sweep_checks(tmp_path, capsys):
     # The averaged intensity peaks at exactly 1 with unit volume and k0.
     assert [r["bound"] for r in records] == [1e-9, 1e-9, 1e-12, 1e-12, 1e-10]
     assert all(r["passed"] and 0.0 <= r["value"] < r["bound"] for r in records)
+    # The visibility line first, then one line per check in manifest order.
+    assert out.splitlines() == ["visibility c=1.000000000000 d=1.000000000000"] + [
+        f"[ok] {r['label']}: {r['value']:.3e} (bound {r['bound']:.1e})" for r in records
+    ]
 
 
 def test_beables_region2_fields_with_vacuum(tmp_path, capsys):
@@ -422,12 +433,21 @@ def test_beables_off_manifold_pair(tmp_path):
     assert (config["phase_a"], config["phase_b"]) == (0.0, 0.3)
 
 
-@pytest.mark.parametrize("volume", ["nan", "inf", "0", "-1"])
-def test_beables_sweep_bad_volume_exits_one(tmp_path, capsys, volume):
-    argv = ["--out-dir", str(tmp_path), "beables", "--region", "2", "--sweep", f"--volume={volume}"]
-    assert main(argv) == 1
+_BAD_VOLUMES = ["nan", "inf", "0", "-1"]
+
+
+@pytest.mark.parametrize(
+    "volume,region",
+    [pytest.param(v, ["--region", "2", "--sweep"], id=v) for v in _BAD_VOLUMES]
+    + [pytest.param(v, ["--region", "1"], id=f"region1-{v}") for v in _BAD_VOLUMES],
+)
+def test_beables_sweep_bad_volume_exits_one(tmp_path, capsys, volume, region):
+    # Region 1 integrates its trajectory before the field map rejects the
+    # volume; the trajectory table must not be left behind.
+    out_dir = tmp_path / "out"
+    assert main(["--out-dir", str(out_dir), "beables", *region, f"--volume={volume}"]) == 1
     assert "error: quantization volume must be positive and finite" in capsys.readouterr().err
-    assert not (tmp_path / "visibility.csv").exists()
+    assert not out_dir.exists()
 
 
 def test_photodetect_outputs(tmp_path, capsys):
@@ -458,10 +478,14 @@ def test_photodetect_dark_phase(tmp_path, capsys):
     selection = json.loads((tmp_path / "selection.json").read_text())
     assert selection["amplitude_vanishes"]
     assert selection["nonzero_count"] == 0
-    assert "no absorption" in capsys.readouterr().out
     # No sector count when nothing is absorbed: only the overlap is checked.
-    assert [r["label"] for r in _manifest(tmp_path, "photodetect")["checks"]] == [
-        "largest non-vacuum overlap"
+    (record,) = _manifest(tmp_path, "photodetect")["checks"]
+    assert record["label"] == "largest non-vacuum overlap"
+    # The check line first, then the note, then the resonant wavenumber.
+    assert capsys.readouterr().out.splitlines() == [
+        f"[ok] largest non-vacuum overlap: {record['value']:.3e} (bound 1.0e-12)",
+        "note: the two path amplitudes cancel at this phase; no absorption",
+        "resonant wavenumber k_en = 1",
     ]
 
 

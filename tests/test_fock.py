@@ -91,12 +91,6 @@ def test_state_validation():
         ChaoticState(1.0)
 
 
-def test_chaotic_from_temperature_ratio():
-    state = ChaoticState.from_temperature_ratio(1.5)
-    assert np.abs(state.u - math.exp(-1.5)) < 1e-15
-    assert np.abs(state.mean_photons - state.u / (1.0 - state.u)) < 1e-15
-
-
 def test_single_photon_g2_exactly_zero():
     assert g2(NumberState(1), BALANCED) == 0.0
 
@@ -134,6 +128,8 @@ def test_degenerate_inputs():
 def test_arm_expectations_sum_to_mean():
     rng = np.random.default_rng(13)
     states = [NumberState(3), CoherentState(1.3 + 0.4j), ChaoticState(0.6)]
+    # A thermal mode holds u / (1 - u) photons on average.
+    assert np.abs(states[2].mean_photons - 1.5) < 1e-15
     for _ in range(20):
         bs = BeamSplitter.from_transmittance(rng.uniform(0.0, 1.0))
         for state in states:
