@@ -8,6 +8,12 @@ magnetic, and intensity beables at spacetime points, in the divided region
 relative phase phi), together with the field quantum potential, the mode
 wave-equation residual, and the conserved energy.
 
+The beables come from one kernel.  Each ModePair and VacuumModes builds, once,
+a read-only coefficient block that maps its trig rows straight to A, E, B, the
+intensity and the background's curl term.  A call makes one trig pass per
+mode set (cos and sin of the beams' phases, and real cos k.x and sin k.x for
+the background) and one product with the blocks stacked.
+
 Natural units: hbar = c = 1 throughout, so neither appears in a signature
 or a formula; the wavenumber of the excited pair sets the frequency scale.
 """
@@ -36,6 +42,11 @@ _XHAT = np.array([1.0, 0.0, 0.0])
 _YHAT = np.array([0.0, 1.0, 0.0])
 _ZHAT = np.array([0.0, 0.0, 1.0])
 
+# Columns of the coefficient blocks, three each: the fields A, E, B and I, and
+# the background's curl term v, which the intensity's cross term reads.
+_A, _E, _B, _I, _V = (slice(3 * i, 3 * i + 3) for i in range(5))
+_COLUMNS = 15
+
 
 def _freeze(obj, **arrays) -> None:
     """Set fields or derived rows of a frozen dataclass as read-only arrays."""
@@ -54,7 +65,7 @@ class ModePair:
     polarization must be a unit vector transverse to its wave vector.
     Defaults place beam a along x, beam b along y, both polarized along z,
     with unit wavenumber.  The pair is frozen, its arrays read-only: the
-    beables read the two beams as rows derived here once.
+    beables read the two beams through a coefficient block built here once.
     """
 
     amp_a: float
@@ -91,9 +102,16 @@ class ModePair:
             if abs(float(np.dot(pol, k))) > 1e-9 * ka:
                 raise ValueError("polarizations must be transverse to their wave vectors")
         k, pol = np.stack([self.k_a, self.k_b]), np.stack([self.pol_a, self.pol_b])
-        amp, phase = np.array([self.amp_a, self.amp_b]), np.array([self.phase_a, self.phase_b])
-        _freeze(self, _k=k, _pol=pol, _curl=np.cross(k, pol), _amp=amp, _phase=phase)
-        _freeze(self, _pol_a_cross=_cross_matrix(self.pol_a))
+        amp = np.array([[self.amp_a], [self.amp_b]])
+        # Rows cos theta, w sin theta, sin theta and w sin^2 theta of each beam.
+        block = np.zeros((8, _COLUMNS))
+        block[0:2, _A] = 2.0 * amp * pol
+        block[2:4, _E] = -pol / (2.0 * amp)
+        block[4:6, _B] = -2.0 * amp * np.cross(k, pol)
+        block[6:8, _I] = k
+        phase = np.array([self.phase_a, self.phase_b])
+        _freeze(self, _waves=k.T.copy(), _rate=0.25 / amp[:, 0] ** 2, _phase=phase)
+        _freeze(self, _block=block, _pol_a_cross=_cross_matrix(self.pol_a))
         object.__setattr__(self, "_k0", float(ka))
 
     @property
@@ -249,19 +267,6 @@ def integrate_region1(pair: ModePair, t_end: float, dt: float | None = None) -> 
     return ModeTrajectory(np.linspace(0.0, t_end, n + 1), np.conj(path_a), np.conj(path_b))
 
 
-def fitted_frequency(trajectory: ModeTrajectory) -> float:
-    """Rotation frequency of q_a from a least-squares fit to its phase.
-
-    Meaningful for rigid rotations, where the unwrapped phase is linear
-    in time; offset-circle motion has no single frequency to fit.
-    """
-    if len(trajectory.times) < 2:
-        raise ValueError("need at least two samples to fit a frequency")
-    phases = np.unwrap(np.angle(trajectory.q_a))
-    slope = np.polyfit(trajectory.times, phases, 1)[0]
-    return float(abs(slope))
-
-
 @dataclass(frozen=True)
 class VacuumModes:
     """Unexcited mode coordinates entering the beables as background noise.
@@ -293,7 +298,16 @@ class VacuumModes:
             raise ValueError("vacuum polarizations must be unit vectors")
         if np.any(np.abs(np.sum(self.k_vectors * self.pols, axis=1)) > 1e-9 * norms):
             raise ValueError("vacuum polarizations must be transverse")
-        _freeze(self, _curls=np.cross(self.k_vectors, self.pols))
+        # Rows cos k.x, then sin k.x, of each mode: u = 2 Re(q e^(i k.x)) pol
+        # and v = curl u = -2 Im(q e^(i k.x)) (k x pol), with B = v.
+        q, curl = self.coords[:, None], np.cross(self.k_vectors, self.pols)
+        block = np.zeros((2 * m, _COLUMNS))
+        block[:m, _A] = 2.0 * q.real * self.pols
+        block[m:, _A] = -2.0 * q.imag * self.pols
+        block[:m, _V] = -2.0 * q.imag * curl
+        block[m:, _V] = -2.0 * q.real * curl
+        block[:, _B] = block[:, _V]
+        _freeze(self, _waves=self.k_vectors.T.copy(), _block=block)
 
     @classmethod
     def sample_ground_state(cls, k_vectors, pols, rng: np.random.Generator) -> "VacuumModes":
@@ -327,30 +341,31 @@ def _frames(pair, weights, x, t, volume, vacuum) -> BeableFrame:
     A weight scales its beam's frequency, electric field and intensity:
     (1, 1) is the divided region, (1 + cos phi, 1 - cos phi) the recombined
     one.  Points x have shape (..., 3) and times t broadcast against x[..., 0].
+    One trig pass per mode set gives the rows of its coefficient block, and
+    one product with the blocks, stacked, gives every field at once.
     """
-    flux = _flux(volume)
+    _flux(volume)  # rejects a volume that is not positive and finite
     x = np.asarray(x, dtype=float)
     w = np.array(weights)
-    rv = math.sqrt(volume)
-    omega = 0.25 * w / pair._amp**2
-    theta = x @ pair._k.T - np.multiply.outer(t, omega) - pair._phase
+    theta = x @ pair._waves - np.asarray(t)[..., None] * (w * pair._rate) - pair._phase
     cos, sin = np.cos(theta), np.sin(theta)
-
-    a_field = (cos * ((2.0 / rv) * pair._amp)) @ pair._pol
-    e_field = (sin * ((-1.0 / (2.0 * rv)) * w / pair._amp)) @ pair._pol
-    b_field = (sin * ((-2.0 / rv) * pair._amp)) @ pair._curl
-    # The oscillating factor (1 - cos 2 theta) / 2 of each beam, as sin^2 theta.
-    intensity = (sin**2 * (flux * w)) @ pair._k
+    ws = w * sin
+    # sin^2 theta is the oscillating factor (1 - cos 2 theta) / 2 of each beam.
+    rows, block = [cos, ws, sin, ws * sin], pair._block
     if vacuum is not None:
-        # Static standing waves: u = 2 Re(q e^(i k.x)) pol, v = curl u, and
-        # the cross term (pol_a x v) weighted by the beams' sin theta.
-        waves = vacuum.coords * np.exp(1j * (x @ vacuum.k_vectors.T))
-        v = (-2.0 * waves.imag) @ vacuum._curls
-        a_field = a_field + (2.0 / rv) * (waves.real @ vacuum.pols)
-        b_field = b_field + v / rv
-        g = (sin @ w)[..., None]
-        intensity = intensity - flux * g * (v @ pair._pol_a_cross)
-    return BeableFrame(a_field, e_field, b_field, intensity)
+        kx = x @ vacuum._waves
+        if kx.shape[:-1] != theta.shape[:-1]:  # one point against an array of times
+            kx = np.broadcast_to(kx, theta.shape[:-1] + kx.shape[-1:])
+        rows += [np.cos(kx), np.sin(kx)]
+        block = np.concatenate((block, vacuum._block))
+    # Every column scaled by 1 / sqrt(V), the intensity once more below.
+    rv = math.sqrt(volume)
+    out = np.concatenate(rows, axis=-1) @ (block / rv)
+    intensity = out[..., _I]
+    if vacuum is not None:
+        # The background's static cross term pol_a x v, weighted by the beams' w sin theta.
+        intensity = intensity - ws.sum(axis=-1, keepdims=True) * (out[..., _V] @ pair._pol_a_cross)
+    return BeableFrame(out[..., _A], out[..., _E], out[..., _B], intensity / rv)
 
 
 def beables_region1(
@@ -380,17 +395,6 @@ def beables_region2(
     Points and times batch as in beables_region1.
     """
     return _frames(pair, _weights(phi), x, t, volume, vacuum)
-
-
-def average_intensity(pair: ModePair, phi: float | None = None, volume: float = 1.0) -> np.ndarray:
-    """Cycle-averaged intensity vector (1 / 2V)(w_a k_a + w_b k_b).
-
-    The weights are those of mode_frequencies: phi None is the divided
-    region, a phase the recombined one.  The oscillatory and background
-    cross terms average to zero, so the result is amplitude-independent.
-    """
-    w_a, w_b = _weights(phi)
-    return _flux(volume) / 2.0 * (pair.k_a * w_a + pair.k_b * w_b)
 
 
 def beam_intensity_curves(pair: ModePair, phis, volume: float = 1.0) -> tuple[np.ndarray, np.ndarray]:

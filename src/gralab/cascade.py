@@ -162,13 +162,16 @@ def g2_analytic(n_omega: float, f: float) -> float:
     """Gate-level coincidence ratio (2 f Nw + (Nw)^2) / (f + Nw)^2.
 
     Vanishing-efficiency limit of the counting model: exactly 0 at Nw = 0
-    and approaching 1 as accidentals dominate.
+    and approaching 1 as accidentals dominate.  Evaluated as
+    [Nw / (f + Nw)] [(2 f + Nw) / (f + Nw)], which neither overflows at
+    large Nw nor cancels at small Nw.
     """
     if not 0.0 <= n_omega < math.inf:
         raise ValueError("Nw must be nonnegative and finite")
     if not 0.0 < f <= 1.0:
         raise ValueError("arrival probability must lie in (0, 1]")
-    return (2.0 * f * n_omega + n_omega**2) / (f + n_omega) ** 2
+    total = f + n_omega
+    return (n_omega / total) * ((2.0 * f + n_omega) / total)
 
 
 @dataclass(frozen=True)

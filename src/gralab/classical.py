@@ -51,6 +51,11 @@ class GateIntensityEnsemble:
         if not (0.0 <= self.alpha_t < math.inf and 0.0 <= self.alpha_r < math.inf):
             raise ValueError("detector coefficients must be nonnegative and finite")
         probs = (*singles_probabilities(self), coincidence_probability(self))
+        if not all(math.isfinite(p) for p in probs):
+            raise ValueError(
+                f"count probabilities overflow at gate duration {self.gate_duration:g} "
+                f"and detector coefficients {self.alpha_t:g}, {self.alpha_r:g}"
+            )
         if max(probs) > 1.0:
             self.admissible = False
             warnings.warn(
@@ -75,7 +80,8 @@ def coincidence_probability(ensemble: GateIntensityEnsemble) -> float:
     """
     second = float(np.mean(ensemble.intensities**2))
     w = ensemble.gate_duration
-    return ensemble.alpha_t * ensemble.alpha_r * w**2 * second
+    # w * w, not w**2: an overflow gives inf, which the ensemble rejects.
+    return ensemble.alpha_t * ensemble.alpha_r * (w * w) * second
 
 
 def classical_alpha(ensemble: GateIntensityEnsemble) -> float:

@@ -79,9 +79,12 @@ class CoherentState:
     alpha: complex
 
     def __post_init__(self) -> None:
-        alpha = complex(self.alpha)
-        if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
-            raise ValueError("coherent amplitude must be finite")
+        # |alpha|^2 and the coincidence moment |alpha|^4 that g2 needs, as
+        # products: they reach inf instead of raising OverflowError, and a
+        # non-finite alpha gives inf or NaN.
+        mean = abs(complex(self.alpha)) * abs(complex(self.alpha))
+        if not math.isfinite(mean * mean):
+            raise ValueError("coherent amplitude must have finite |alpha|^2 and |alpha|^4")
 
     @property
     def mean_photons(self) -> float:

@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 
 from gralab import beables, cascade, checks, classical, fock, photodetect
+from test_beables import fitted_frequency
 
 MC_SEED = 20260822
 
@@ -196,7 +197,7 @@ def test_criterion_7_mode_dynamics(capsys):
     )
     if gap >= 1e-6:
         failures.append(f"integrated orbit off the closed solution by {gap:.2e}")
-    rel = abs(beables.fitted_frequency(trajectory) - omega) / omega
+    rel = abs(fitted_frequency(trajectory) - omega) / omega
     if rel >= 1e-9:
         failures.append(f"fitted frequency off by {rel:.2e} relative")
     off_manifold = beables.ModePair(amp_a=1.0, amp_b=1.0)

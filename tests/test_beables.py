@@ -16,11 +16,9 @@ from gralab.beables import (
     StepTooLarge,
     VacuumModes,
     analytic_region1,
-    average_intensity,
     beables_region1,
     beables_region2,
     beam_intensity_curves,
-    fitted_frequency,
     frame_consistency_region1,
     frame_consistency_region2,
     integrate_region1,
@@ -34,6 +32,30 @@ from gralab.beables import (
 
 RIGID = ModePair.single_frequency(1.0)
 TILTED = ModePair(amp_a=1.0, amp_b=1.0, phase_a=0.0, phase_b=0.0)
+
+
+def average_intensity(pair, phi=None, volume=1.0):
+    """Cycle-averaged intensity vector (1 / 2V)(w_a k_a + w_b k_b).
+
+    The weights are those of mode_frequencies: phi None is the divided
+    region, a phase the recombined one.  The oscillatory and background
+    cross terms average to zero, so the result is amplitude-independent.
+    """
+    w_a, w_b = beables._weights(phi)
+    return beables._flux(volume) / 2.0 * (pair.k_a * w_a + pair.k_b * w_b)
+
+
+def fitted_frequency(trajectory):
+    """Rotation frequency of q_a from a least-squares fit to its phase.
+
+    Meaningful for rigid rotations, where the unwrapped phase is linear
+    in time; offset-circle motion has no single frequency to fit.
+    """
+    if len(trajectory.times) < 2:
+        raise ValueError("need at least two samples to fit a frequency")
+    phases = np.unwrap(np.angle(trajectory.q_a))
+    slope = np.polyfit(trajectory.times, phases, 1)[0]
+    return float(abs(slope))
 
 
 def _sample_vacuum(n=4, seed=43):
@@ -560,6 +582,64 @@ def test_frames_match_closed_form(region, phi, amps, phases, k0, geometry, volum
         for name, field, envelope in zip(FIELDS, want, envelopes):
             got = getattr(frames, name)[i]
             assert np.abs(got - field).max() <= 1e-12 * envelope, name
+
+
+def _row(frame, index):
+    return {name: getattr(frame, name)[index] for name in FIELDS}
+
+
+@pytest.mark.parametrize("phi", [None, 2.2])
+@pytest.mark.parametrize("vacuum_modes", [0, 1, 16])
+def test_kernel_matches_closed_form_in_every_call_shape(phi, vacuum_modes):
+    # One point at a scalar time (the benchmark's and the checks' shape),
+    # (N, 3) points at a scalar time (the CLI's), a (2, 3, 3) grid with times
+    # along its last point axis, and one point against an array of times.
+    pair = ModePair(
+        amp_a=0.9, amp_b=1.3, phase_a=2.0, phase_b=0.3,
+        k_a=1.4 * _unit(0.7, 0.2), k_b=1.4 * _unit(1.9, 2.5),
+        pol_a=_transverse(0.7, 0.2, 0.4), pol_b=_transverse(1.9, 2.5, 1.1),
+    )
+    weights = (1.0, 1.0) if phi is None else (1.0 + math.cos(phi), 1.0 - math.cos(phi))
+    beams = [
+        (pair.k_a, pair.pol_a, pair.amp_a, pair.phase_a, weights[0]),
+        (pair.k_b, pair.pol_b, pair.amp_b, pair.phase_b, weights[1]),
+    ]
+    vac = _sample_vacuum(n=vacuum_modes, seed=31) if vacuum_modes else None
+    mode_rows = [] if vac is None else list(zip(vac.k_vectors, vac.pols, vac.coords))
+    volume = 2.5
+    rng = np.random.default_rng(37)
+    points = rng.uniform(-4.0, 4.0, (6, 3))
+    times = rng.uniform(0.0, 30.0, 6)
+
+    def build(x, t):
+        if phi is None:
+            return beables_region1(pair, x, t, volume, vac)
+        return beables_region2(pair, phi, x, t, volume, vac)
+
+    def check_closed_form(x, t, got):
+        """Assert one frame against _closed_form; return the field envelopes."""
+        want, envelopes = _closed_form(beams, mode_rows, x, t, volume, 1.0, 1.0, pair.pol_a)
+        for name, field, envelope in zip(FIELDS, want, envelopes):
+            assert got[name].shape == (3,)
+            assert np.abs(got[name] - field).max() <= 1e-12 * envelope, name
+        return envelopes
+
+    batch = build(points, 1.7)
+    for i, x in enumerate(points):
+        single = build(x, 1.7)
+        envelopes = check_closed_form(x, 1.7, _row(single, Ellipsis))
+        check_closed_form(x, 1.7, _row(batch, i))
+        for name, envelope in zip(FIELDS, envelopes):
+            gap = np.abs(getattr(single, name) - getattr(batch, name)[i]).max()
+            assert gap <= 1e-15 * envelope, name
+    grid = build(points.reshape(2, 3, 3), times[:3])
+    assert grid.intensity.shape == (2, 3, 3)
+    for i, j in np.ndindex(2, 3):
+        check_closed_form(points[3 * i + j], times[j], _row(grid, (i, j)))
+    series = build(points[0], times)
+    assert series.vector_potential.shape == (6, 3)
+    for j, t in enumerate(times):
+        check_closed_form(points[0], t, _row(series, j))
 
 
 # Test-only reference: the field quantum potential of any modulus by

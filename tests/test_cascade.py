@@ -1,6 +1,7 @@
 """Gated-cascade Monte Carlo against its closed-form counting model."""
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -62,6 +63,14 @@ def test_analytic_curve_fixed_values():
     # hand-computed 0.0181 / 0.8281
     assert np.abs(g2_analytic(0.01, 0.9) - 181.0 / 8281.0) < 1e-15
     assert np.abs(g2_analytic(1e6, 0.9) - 1.0) < 1e-11
+
+
+def test_analytic_curve_neither_overflows_nor_cancels():
+    # (f + Nw)^2 used to overflow at huge Nw; the factored form stays at 1.
+    assert g2_analytic(1e300, 0.9) == 1.0
+    assert g2_analytic(sys.float_info.max, 1.0) == 1.0
+    # At tiny Nw the ratio is 2 Nw / f to first order, with no cancellation.
+    assert np.abs(g2_analytic(1e-300, 0.5) / 4e-300 - 1.0) < 1e-15
 
 
 def test_analytic_curve_monotone():

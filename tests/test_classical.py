@@ -123,3 +123,12 @@ def test_nonfinite_intensity_rejected(values, index, value):
 def test_nonfinite_gate_or_coefficient_rejected(name, value):
     with pytest.raises(ValueError):
         _ensemble([1.0, 2.0], **{name: value})
+
+
+@pytest.mark.parametrize(
+    "settings", [{"gate": 1e300}, {"eff_t": 1e300, "eff_r": 1e300}], ids=["gate", "coefficients"]
+)
+def test_overflowing_probabilities_rejected(settings):
+    # w**2 used to raise OverflowError; an infinite probability is now named.
+    with pytest.raises(ValueError, match="count probabilities overflow at gate duration"):
+        _ensemble([1.0, 2.0], **settings)

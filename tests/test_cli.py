@@ -93,6 +93,17 @@ def test_nonfinite_coherent_amplitude_exits_two(tmp_path):
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("spec", ["coherent:1e200", "coherent:1e100"])
+def test_coherent_amplitude_with_overflowing_moments_exits_two(tmp_path, capsys, spec):
+    # Both used to end in an OverflowError traceback.
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["--out-dir", str(out_dir), "g2", spec, "--oracle"])
+    assert exc.value.code == 2
+    assert "|alpha|^2 and |alpha|^4" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_nonpositive_gates_exit_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["--out-dir", str(tmp_path), "cascade", "--gates", "0"])
@@ -121,6 +132,28 @@ def test_classical_bad_scale_exits_one(tmp_path, capsys, scale):
         assert main(argv) == 1
         assert "error: intensity scale must be nonnegative and finite" in capsys.readouterr().err
     assert not (tmp_path / "classical.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [["--gate", "1e300"], ["--eff-t", "1e300", "--eff-r", "1e300"]], ids=["gate", "coefficients"]
+)
+def test_classical_overflowing_probabilities_exit_one(tmp_path, capsys, argv):
+    # --gate 1e300 used to end in an OverflowError traceback.
+    out_dir = tmp_path / "out"
+    assert main(["--out-dir", str(out_dir), "classical", "--samples", "1", *argv]) == 1
+    assert capsys.readouterr().err.startswith("error: count probabilities overflow at gate duration")
+    assert not out_dir.exists()
+
+
+def test_cascade_huge_finite_nw(tmp_path):
+    # (f + Nw) ** 2 in g2_analytic used to end in an OverflowError traceback.
+    out_dir = tmp_path / "out"
+    assert main(["--out-dir", str(out_dir), "cascade", "--gates", "100", "--n-omega", "1e300"]) == 0
+    header, rows = _read_csv(out_dir / "cascade_curve.csv")
+    assert header[:3] == ["n_omega", "alpha_mc", "alpha_analytic"]
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+    assert float(rows[0][2]) == 1.0
+    _manifest(out_dir, "cascade")  # strict JSON: no NaN or Infinity
 
 
 def test_cascade_single_point(tmp_path, capsys):

@@ -74,6 +74,13 @@ def test_coherent_state_rejects_nonfinite_amplitude(part, value):
         CoherentState(0.5 + part * value)
 
 
+@pytest.mark.parametrize("alpha", [1e200, 1e100j, 1e77 + 1e77j])
+def test_coherent_state_rejects_overflowing_moments(alpha):
+    # |alpha|^2 or the coincidence moment |alpha|^4 is not a finite float.
+    with pytest.raises(ValueError, match=r"\|alpha\|\^2 and \|alpha\|\^4"):
+        CoherentState(alpha)
+
+
 @given(value=NONFINITE)
 @example(value=math.nan)
 @example(value=math.inf)
