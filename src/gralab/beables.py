@@ -81,6 +81,11 @@ class ModePair:
         # Written so that NaN fails every comparison and is rejected.
         if not (0.0 < self.amp_a < math.inf and 0.0 < self.amp_b < math.inf):
             raise ValueError("mode amplitudes must be positive and finite")
+        for amp in (self.amp_a, self.amp_b):
+            # amp^2, the frequency 1 / (4 amp^2) and the period 8 pi amp^2.
+            square = amp * amp
+            if not (0.0 < square and 8.0 * math.pi * square < math.inf and 1.0 / square < math.inf):
+                raise ValueError(f"mode amplitude {amp:g} leaves amp^2, 1/amp^2 or the period non-finite")
         if not (math.isfinite(self.phase_a) and math.isfinite(self.phase_b)):
             raise ValueError("mode phases must be finite")
         for name, default in (("k_a", _XHAT), ("k_b", _YHAT), ("pol_a", _ZHAT), ("pol_b", _ZHAT)):
@@ -90,6 +95,10 @@ class ModePair:
                 raise ValueError(f"{name} must be a 3-vector")
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} must be finite")
+            # The squared norm sums three squares of at most the largest entry.
+            largest = float(np.abs(value).max())
+            if not 3.0 * largest * largest < math.inf:
+                raise ValueError(f"beam wavenumber: {name} overflows k0^2")
             _freeze(self, **{name: value})
         ka, kb = np.linalg.norm(self.k_a), np.linalg.norm(self.k_b)
         if abs(ka - kb) > 1e-12 * max(ka, kb, 1.0):
@@ -245,6 +254,9 @@ def integrate_region1(pair: ModePair, t_end: float, dt: float | None = None) -> 
         raise ValueError("step must be positive")
     if dt > cycle / 8.0:
         raise StepTooLarge(f"step {dt:.3e} exceeds an eighth of the fastest cycle {cycle:.3e}")
+
+    if not t_end / dt < math.inf:
+        raise ValueError(f"end time {t_end:g} needs more RK4 steps of {dt:.3e} than a float counts")
 
     def deriv(y_a: complex, y_b: complex) -> tuple[complex, complex]:
         return region1_equations_of_motion(y_a.conjugate(), y_b.conjugate())

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -62,9 +63,13 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _check_durations(lifetime: float, gate: float) -> None:
+def _gate_width(lifetime: float, gate: float | None) -> float:
+    """The gate, twice the lifetime unless given; both positive and finite."""
+    if gate is None:
+        gate = 2.0 * lifetime
     if not (0.0 < lifetime < math.inf and 0.0 < gate < math.inf):  # NaN fails here
         raise ConfigError("lifetime and gate width must be positive and finite")
+    return gate
 
 
 @dataclass(frozen=True)
@@ -97,12 +102,10 @@ class CascadeConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.gate is None:
-            object.__setattr__(self, "gate", 2.0 * self.lifetime)
+        object.__setattr__(self, "gate", _gate_width(self.lifetime, self.gate))
         # Written so that NaN fails every comparison and is rejected.
         if not 0.0 < self.decay_rate < math.inf:
             raise ConfigError("decay rate must be positive and finite")
-        _check_durations(self.lifetime, self.gate)
         if not self.correlation_factor >= 1.0:
             raise ConfigError("correlation factor must be at least 1")
         if f_omega(self) > 1.0 + 1e-12:
@@ -114,7 +117,10 @@ class CascadeConfig:
         # The gate rate N epsilon_1 sets the mean wait between gates.
         gate_rate = self.decay_rate * self.epsilon_1
         if not (gate_rate > 0.0 and 1.0 / gate_rate < math.inf):
-            raise ConfigError("epsilon_1 leaves the mean wait 1 / (N epsilon_1) between gates infinite")
+            raise ConfigError(
+                f"epsilon_1 = {self.epsilon_1:g} at Nw = {self.decay_rate * self.gate:g} leaves the"
+                " mean wait 1 / (N epsilon_1) between gates infinite"
+            )
         if self.arrival_mode not in ("analytic", "physical"):
             raise ConfigError("arrival mode must be 'analytic' or 'physical'")
         if (self.run_time is None) == (self.target_gates is None):
@@ -141,19 +147,19 @@ def f_omega(cfg: CascadeConfig) -> float:
     return cfg.correlation_factor * (1.0 - math.exp(-cfg.gate / cfg.lifetime))
 
 
-def correlation_for_f(f_target: float, lifetime: float = 4.7e-9, gate: float | None = None) -> float:
+def correlation_for_f(
+    f_target: float, lifetime: float = CascadeConfig.lifetime, gate: float | None = None
+) -> float:
     """Correlation factor that realizes a requested arrival probability."""
-    if gate is None:
-        gate = 2.0 * lifetime
-    _check_durations(lifetime, gate)
+    gate = _gate_width(lifetime, gate)
     base = 1.0 - math.exp(-gate / lifetime)
     if base == 0.0:  # a gate under about 1e-16 lifetimes
         raise ConfigError("gate width too short against the lifetime for a paired photon to arrive")
     a = f_target / base
     if not 1.0 <= a < math.inf:  # NaN fails here
         raise ConfigError(
-            f"arrival probability {f_target} must be finite and at least the base {base:.6f}"
-            " (correlation factor a >= 1)"
+            f"arrival probability {f_target} must be finite and at least the base"
+            f" 1 - e^(-gate/lifetime) = {base:.6f} (correlation factor a >= 1)"
         )
     return a
 
@@ -521,6 +527,14 @@ class SweepPoint:
     elapsed_sim_time: float
 
 
+def _source_rate(n_omega: float, gate: float) -> float:
+    """Source rate N = Nw / w of an Nw point, or the nominal 1 / w at Nw = 0."""
+    rate = (n_omega if n_omega > 0.0 else 1.0) / gate
+    if not 0.0 < rate < math.inf:
+        raise ConfigError(f"Nw = {n_omega:g} over gate width {gate:g} puts the source rate out of range")
+    return rate
+
+
 def sweep_curve(template: CascadeConfig, n_omega_values) -> list[SweepPoint]:
     """Run the simulation across source rates set by Nw values.
 
@@ -543,12 +557,10 @@ def sweep_curve(template: CascadeConfig, n_omega_values) -> list[SweepPoint]:
     )
     points = []
     for x, seed in zip(values, seeds):
-        if x == 0.0:
-            cfg = replace(
-                template, decay_rate=1.0 / template.gate, accidental_collection=0.0, rng_seed=int(seed)
-            )
-        else:
-            cfg = replace(template, decay_rate=x / template.gate, rng_seed=int(seed))
+        isolated = {} if x else {"accidental_collection": 0.0}
+        cfg = replace(
+            template, decay_rate=_source_rate(x, template.gate), rng_seed=int(seed), **isolated
+        )
         rec = simulate(cfg)
         points.append(
             SweepPoint(
@@ -562,3 +574,64 @@ def sweep_curve(template: CascadeConfig, n_omega_values) -> list[SweepPoint]:
             )
         )
     return points
+
+
+# The keys a cascade configuration may set: JSON numbers, then the Nw list and the arrival mode.
+NUMBER_KEYS = (
+    "lifetime", "lifetime_ns", "gate", "gate_ns", "correlation_factor", "f_target",
+    "n_omega", "epsilon_1", "epsilon_t", "epsilon_r", "transmittance", "accidental_collection",
+)
+KEYS = (*NUMBER_KEYS, "n_omega_values", "arrival_mode")
+
+
+def _is_number(value) -> bool:
+    """A JSON number that a float holds: a float, or an int in float range but not a bool."""
+    numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return numeric and (isinstance(value, float) or abs(value) <= sys.float_info.max)
+
+
+def template_from(
+    entries: dict, overrides: dict, *, sweep: bool, target_gates: int, rng_seed: int
+) -> tuple[CascadeConfig, list[float], float]:
+    """The run template, Nw sweep list and single-point Nw of a file's checked
+    entries (KEYS) with the flags' overrides laid over them.  Unset keys take the
+    defaults of CascadeConfig, from_transmittance, f_target 0.9 and Nw 0.1."""
+    for key, value in entries.items():
+        if key not in KEYS:
+            raise ConfigError(f"unknown config key {key!r}; accepted: {', '.join(KEYS)}")
+        if key in NUMBER_KEYS and not _is_number(value):
+            raise ConfigError(f"config key {key!r} must be a number")
+    points = entries.get("n_omega_values", [0.0])
+    if not (isinstance(points, list) and points and all(_is_number(x) for x in points)):
+        raise ConfigError("config key 'n_omega_values' must be a nonempty list of numbers")
+    config = {key: float(v) if key in NUMBER_KEYS else v for key, v in entries.items()}
+    config.update(overrides)
+
+    for key, other in (("lifetime", "lifetime_ns"), ("gate", "gate_ns"), ("correlation_factor", "f_target")):
+        if key in config and other in config:
+            raise ConfigError(f"give {key} or {other}, not both")
+    # Durations in seconds, or in nanoseconds under the key ending in _ns.
+    for key in ("lifetime", "gate"):
+        if f"{key}_ns" in config:
+            config[key] = config.pop(f"{key}_ns") * 1e-9
+    lifetime = config.get("lifetime", CascadeConfig.lifetime)
+    gate = _gate_width(lifetime, config.get("gate"))
+    if "correlation_factor" not in config:
+        config["correlation_factor"] = correlation_for_f(config.get("f_target", 0.9), lifetime, gate)
+
+    points = [float(x) for x in config.get("n_omega_values", (0.01, 0.05, 0.1, 0.3, 0.9, 3.0))]
+    n_omega = config.get("n_omega", 0.1)
+    if not all(math.isfinite(x) for x in (*points, n_omega)):
+        raise ConfigError("Nw (--n-omega, --points, config keys 'n_omega', 'n_omega_values') must be finite")
+    # The sweep list is read only by a sweep; outside one it would be ignored.
+    if not sweep and "n_omega_values" in config:
+        raise ConfigError("the Nw list (--points, config key 'n_omega_values') needs --sweep")
+
+    fields = ("lifetime", "correlation_factor", "epsilon_1", "epsilon_t", "epsilon_r",
+              "accidental_collection", "arrival_mode")
+    splitter = {"t2": config["transmittance"]} if "transmittance" in config else {}
+    template = CascadeConfig(
+        decay_rate=_source_rate(n_omega, gate), gate=gate, bs=BeamSplitter.from_transmittance(**splitter),
+        target_gates=target_gates, rng_seed=rng_seed, **{key: config[key] for key in fields if key in config},
+    )
+    return template, points, n_omega

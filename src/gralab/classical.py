@@ -44,6 +44,13 @@ class GateIntensityEnsemble:
         # Written so that NaN fails every comparison and is rejected.
         if not np.all((0.0 <= self.intensities) & (self.intensities < np.inf)):
             raise ValueError("intensities must be nonnegative and finite")
+        # Every square, and their sum, is at most n peak^2: rejecting an
+        # overflow here keeps numpy's from the second moment below.
+        peak, n = float(self.intensities.max()), self.intensities.size
+        if not math.isfinite(peak * peak * n):
+            raise ValueError(
+                f"intensity scale overflows the second moment <i^2>: peak {peak:g} over {n} gates"
+            )
         if not np.any(self.intensities > 0.0):
             raise ZeroMeanIntensity("every gate in the ensemble is dark")
         if not 0.0 < self.gate_duration < math.inf:

@@ -26,9 +26,6 @@ import numpy as np
 from . import __version__
 from . import beables, cascade, checks, classical, fock, photodetect, svgplot
 
-_DEFAULT_SWEEP = (0.01, 0.05, 0.1, 0.3, 0.9, 3.0)
-
-
 def _int_at_least(low: int):
     def integer(text: str) -> int:
         value = int(text)
@@ -154,23 +151,12 @@ def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
     return data
-
-
-def _seconds_key(config: dict, base: str) -> float | None:
-    """Resolve a duration that may be given in seconds or nanoseconds."""
-    plain, ns = config.get(base), config.get(f"{base}_ns")
-    if plain is not None and ns is not None:
-        raise ValueError(f"give {base} or {base}_ns, not both")
-    if ns is not None:
-        return float(ns) * 1e-9
-    return None if plain is None else float(plain)
 
 
 def cmd_g2(args) -> Run:
@@ -240,88 +226,16 @@ def cmd_classical(args) -> Run:
     return Run(config, tables=[("classical", header, rows)], lines=lines)
 
 
-# The keys a cascade --config file may set: JSON numbers, then the Nw sweep
-# list and the arrival mode.
-_CASCADE_NUMBER_KEYS = (
-    "lifetime", "lifetime_ns", "gate", "gate_ns", "correlation_factor", "f_target",
-    "n_omega", "epsilon_1", "epsilon_t", "epsilon_r", "transmittance", "accidental_collection",
-)
-_CASCADE_KEYS = (*_CASCADE_NUMBER_KEYS, "n_omega_values", "arrival_mode")
-
-
-def _is_number(value) -> bool:
-    """A JSON number: an int or float, but not a bool (JSON true/false)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _check_cascade_keys(config: dict) -> None:
-    """Reject a key the template does not read or a value of the wrong type."""
-    for key, value in config.items():
-        if key not in _CASCADE_KEYS:
-            raise ValueError(f"unknown config key {key!r}; accepted: {', '.join(_CASCADE_KEYS)}")
-        if key in _CASCADE_NUMBER_KEYS and not _is_number(value):
-            raise ValueError(f"config key {key!r} must be a number")
-    if "n_omega_values" in config:
-        points = config["n_omega_values"]
-        if not (isinstance(points, list) and points and all(_is_number(x) for x in points)):
-            raise ValueError("config key 'n_omega_values' must be a nonempty list of numbers")
-
-
-def _cascade_template(args) -> tuple[cascade.CascadeConfig, list[float], float]:
-    config = _load_config_file(args.config)
-    _check_cascade_keys(config)
-    lifetime = _seconds_key(config, "lifetime")
-    if lifetime is None:
-        lifetime = 4.7e-9
-    gate = _seconds_key(config, "gate")
-    if gate is None:
-        gate = 2.0 * lifetime
-
-    a_explicit = config.get("correlation_factor")
-    f_target = args.f_target if args.f_target is not None else config.get("f_target")
-    if a_explicit is not None and f_target is not None:
-        raise ValueError("give correlation_factor or f_target, not both")
-    if a_explicit is not None:
-        a = float(a_explicit)
-    else:
-        a = cascade.correlation_for_f(0.9 if f_target is None else float(f_target), lifetime, gate)
-
-    points = args.points if args.points is not None else config.get("n_omega_values")
-    points = list(_DEFAULT_SWEEP) if points is None else [float(x) for x in points]
-    n_omega = args.n_omega if args.n_omega is not None else float(config.get("n_omega", 0.1))
-    if not all(math.isfinite(x) for x in (*points, n_omega)):
-        raise ValueError(
-            "Nw (--n-omega, --points, config keys 'n_omega', 'n_omega_values') must be finite"
-        )
-    # The sweep list is read only by a sweep; outside one it would be ignored.
-    if not args.sweep and (args.points is not None or "n_omega_values" in config):
-        raise ValueError("the Nw list (--points, config key 'n_omega_values') needs --sweep")
-
-    arrival = args.arrival or config.get("arrival_mode", "analytic")
-    collection = (
-        args.accidental_collection
-        if args.accidental_collection is not None
-        else float(config.get("accidental_collection", 1.0))
-    )
-    template = cascade.CascadeConfig(
-        decay_rate=(n_omega if n_omega > 0.0 else 1.0) / gate,
-        lifetime=lifetime,
-        gate=gate,
-        correlation_factor=a,
-        epsilon_1=float(config.get("epsilon_1", 0.1)),
-        epsilon_t=float(config.get("epsilon_t", 0.05)),
-        epsilon_r=float(config.get("epsilon_r", 0.05)),
-        bs=fock.BeamSplitter.from_transmittance(float(config.get("transmittance", 0.5))),
-        accidental_collection=collection,
-        arrival_mode=arrival,
-        target_gates=args.gates,
-        rng_seed=args.seed,
-    )
-    return template, points, n_omega
+# The cascade flags that override a --config file, and the keys they set.
+_CASCADE_FLAG_KEYS = {"f_target": "f_target", "points": "n_omega_values", "n_omega": "n_omega",
+                      "arrival": "arrival_mode", "accidental_collection": "accidental_collection"}
 
 
 def cmd_cascade(args) -> Run:
-    template, points, n_omega = _cascade_template(args)
+    overrides = {key: v for flag, key in _CASCADE_FLAG_KEYS.items() if (v := getattr(args, flag)) is not None}
+    template, points, n_omega = cascade.template_from(
+        _load_config_file(args.config), overrides, sweep=args.sweep, target_gates=args.gates, rng_seed=args.seed
+    )
     header = ["n_omega", "alpha_mc", "alpha_analytic", "stderr", "gates", "alpha_exact"]
     t_compute = time.monotonic()
     results = cascade.sweep_curve(template, points if args.sweep else [n_omega])
@@ -360,7 +274,7 @@ def cmd_cascade(args) -> Run:
     plot = dict(title=f"Coincidence ratio, f = {f:.3f}", xlabel="N w", ylabel="alpha", logx=True)
 
     config = asdict(template)
-    config["n_omega_values" if args.sweep else "n_omega"] = points if args.sweep else n_omega
+    config[_CASCADE_FLAG_KEYS["points" if args.sweep else "n_omega"]] = points if args.sweep else n_omega
     gates = sum(p.gates for p in results)
     counters = {
         "cascade": {

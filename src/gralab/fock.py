@@ -51,7 +51,7 @@ class BeamSplitter:
             raise ValueError("reflection phase must be finite")
 
     @classmethod
-    def from_transmittance(cls, t2: float) -> "BeamSplitter":
+    def from_transmittance(cls, t2: float = 0.5) -> "BeamSplitter":
         if not 0.0 <= t2 <= 1.0:
             raise ValueError("transmittance must lie in [0, 1]")
         return cls(t=math.sqrt(t2), r=math.sqrt(1.0 - t2))
@@ -194,6 +194,13 @@ def default_cutoff(state: InputState, leakage_tol: float = 1e-12) -> int:
     raise TypeError(f"unsupported state type: {type(state).__name__}")
 
 
+# Largest oracle cutoff.  The rungs 0 .. n_max cost O(n_max^2) work: at this
+# cap, oracle_g2 on NumberState(10000) takes about 3.4 s (2 CPUs, numpy 2.4),
+# and ChaoticState(0.997) needs 9,202 rungs.  A larger cutoff is refused before
+# anything is allocated.
+MAX_CUTOFF = 10_000
+
+
 def poisson_weights(mean: float, n_max: int) -> tuple[np.ndarray, float]:
     """Poisson probabilities of 0 .. n_max and the weight beyond n_max.
 
@@ -226,11 +233,17 @@ def photon_weights(
     """The oracle's cutoff, the input's photon-number weights on 0 .. n_max,
     and the untruncated weight beyond the cutoff (reported, not renormalized).
 
-    Raises TruncationError when the cutoff cannot hold a number state or
-    the tail exceeds the leakage tolerance.
+    Raises TruncationError when the cutoff exceeds MAX_CUTOFF, cannot hold
+    a number state, or leaves a tail above the leakage tolerance.
     """
+    source = "n_max (--n-max)"
     if n_max is None:
         n_max = default_cutoff(state, leakage_tol)
+        source = "the number state" if isinstance(state, NumberState) else "default_cutoff"
+    if n_max > MAX_CUTOFF:
+        raise TruncationError(
+            f"cutoff {n_max} of {state!r}, from {source}, exceeds the oracle's cap of {MAX_CUTOFF} rungs"
+        )
     if isinstance(state, NumberState):
         if n_max < state.n:
             raise TruncationError(f"cutoff {n_max} cannot hold {state.n} photons")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -104,6 +105,28 @@ def test_mode_pair_validation():
 def test_single_frequency_rejects_bad_wavenumber(k0):
     with pytest.raises(ValueError, match="beam wavenumber must be positive and finite"):
         ModePair.single_frequency(1.0, k0=k0)
+
+
+@pytest.mark.parametrize(
+    "amp,k0,named",
+    [
+        (1e200, 1.0, "mode amplitude 1e+200"),  # amp^2 overflows
+        (1e-200, 1.0, "mode amplitude 1e-200"),  # amp^2 underflows to 0
+        (5e153, 1.0, "mode amplitude 5e+153"),  # the period 8 pi amp^2 overflows
+        (1.0, 1e300, "beam wavenumber: k_a overflows k0^2"),
+    ],
+)
+def test_pair_rejects_overflowing_amplitude_or_wavenumber(amp, k0, named):
+    # The first two used to end in OverflowError and ZeroDivisionError from
+    # mode_frequencies, the last in a NaN past validation.
+    with pytest.raises(ValueError, match=re.escape(named)):
+        ModePair.single_frequency(amp, k0=k0)
+
+
+def test_rk4_step_count_must_be_finite():
+    # 2.5e307 / 0.025 steps used to end in OverflowError from math.ceil.
+    with pytest.raises(ValueError, match="RK4 steps"):
+        integrate_region1(ModePair.single_frequency(1.0), 2.5e307)
 
 
 NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])

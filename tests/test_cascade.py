@@ -1,8 +1,11 @@
 """Gated-cascade Monte Carlo against its closed-form counting model."""
 
+import json
 import math
 import sys
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gralab.cascade import (
+    NUMBER_KEYS,
     CascadeConfig,
     ConfigError,
     CountRecord,
@@ -23,8 +27,10 @@ from gralab.cascade import (
     measured_alpha,
     simulate,
     sweep_curve,
+    template_from,
 )
 from gralab import fock
+from gralab.cli import main
 from gralab.fock import BeamSplitter
 
 F_BASE = 1.0 - math.exp(-2.0)
@@ -687,3 +693,101 @@ def test_alpha_stderr_calibrated_by_replication(n_omega, mode):
     z = (alphas - exact) / errors
     assert abs(np.mean(z)) < 0.25
     assert abs(np.std(z, ddof=1) - 1.0) < 0.15
+
+
+# Signed zeros, subnormals, +-1e300, NaN, +-inf and any other float.
+_EXTREME = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300, math.nan, math.inf, -math.inf]),
+    st.floats(),
+)
+_POINTS = st.lists(_EXTREME, min_size=1, max_size=3)
+# Besides its own name and its flag's, the words a message may use to name a
+# configuration key.  The gate defaults to twice the lifetime.
+_NAMES = {
+    "lifetime": ("gate",), "lifetime_ns": ("lifetime", "gate"), "gate_ns": ("gate",),
+    "correlation_factor": ("correlation factor", "arrival probability"),
+    "f_target": ("arrival probability",), "n_omega": ("Nw",), "n_omega_values": ("Nw",),
+    "arrival_mode": ("arrival mode",),
+}
+_FLAGS = {
+    "f_target": "--f-target", "n_omega": "--n-omega", "accidental_collection": "--accidental-collection",
+    "n_omega_values": "--points", "arrival_mode": "--arrival",
+}
+
+
+def _run_cli(entries, overrides, sweep):
+    """Exit status of `gralab cascade --gates 100` with entries as its --config
+    file and overrides as flags; a rejected run must leave no directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out_dir = Path(tmp) / "cascade.json", Path(tmp) / "out"
+        config.write_text(json.dumps(entries))  # NaN and Infinity tokens, which json reads
+        argv = ["--out-dir", str(out_dir), "cascade", "--gates", "100", "--config", str(config)]
+        for key, value in overrides.items():
+            text = ",".join(map(repr, value)) if key == "n_omega_values" else str(value)
+            argv.append(f"{_FLAGS[key]}={text}")
+        try:
+            code = main(argv + ["--sweep"] * sweep)
+        except SystemExit as exc:
+            code = exc.code
+        assert code in (0, 1, 2)
+        assert code == 0 or not out_dir.exists()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    entries=st.fixed_dictionaries(
+        {},
+        optional={
+            **{key: _EXTREME for key in NUMBER_KEYS},
+            "n_omega_values": _POINTS,
+            "arrival_mode": st.sampled_from(["analytic", "physical", "bogus"]),
+        },
+    ),
+    overrides=st.fixed_dictionaries(
+        {},
+        optional={
+            "f_target": _EXTREME,
+            "n_omega": _EXTREME,
+            "accidental_collection": _EXTREME,
+            "n_omega_values": _POINTS,
+            "arrival_mode": st.sampled_from(["analytic", "physical"]),
+        },
+    ),
+    sweep=st.booleans(),
+    through_cli=st.just(False),
+)
+@example(entries={}, overrides={"n_omega": 1e300}, sweep=False, through_cli=True)
+@example(entries={"gate_ns": 5e-324, "correlation_factor": 1.0}, overrides={}, sweep=False, through_cli=True)
+@example(
+    entries={"epsilon_1": 5e-324, "transmittance": -0.0},
+    overrides={"n_omega_values": [0.0, 1e-300, 1e300]},
+    sweep=True,
+    through_cli=True,
+)
+@example(
+    entries={"lifetime": 1e300, "f_target": 1e-310}, overrides={"arrival_mode": "physical"},
+    sweep=True, through_cli=True,
+)
+@example(entries={"n_omega": math.nan}, overrides={"n_omega": 0.0}, sweep=False, through_cli=True)
+# Found by this property: each message named no input it was given.
+@example(entries={"lifetime": 5e-324}, overrides={}, sweep=False, through_cli=True)
+@example(entries={"n_omega": 5e-324}, overrides={}, sweep=False, through_cli=True)
+@example(entries={"gate": 1.0}, overrides={}, sweep=False, through_cli=True)
+def test_template_from_returns_a_template_or_names_the_input(entries, overrides, sweep, through_cli):
+    # The reader behind `gralab cascade --config`: any key or flag may carry
+    # any float, and either the run is set up or the message names an input.
+    given_keys = {*entries, *overrides}
+    try:
+        template, points, n_omega = template_from(
+            entries, overrides, sweep=sweep, target_gates=100, rng_seed=0
+        )
+    except ValueError as exc:  # ConfigError and BeamSplitter's errors
+        message = str(exc)
+        names = [(key, _FLAGS.get(key, key), *_NAMES.get(key, ())) for key in given_keys]
+        assert any(name in message for name in sum(names, ())), (message, given_keys)
+    else:
+        assert isinstance(template, CascadeConfig) and template.target_gates == 100
+        assert all(math.isfinite(x) for x in (*points, n_omega))
+        assert sweep or "n_omega_values" not in given_keys
+    if through_cli:
+        _run_cli(entries, overrides, sweep)

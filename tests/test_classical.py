@@ -132,3 +132,14 @@ def test_overflowing_probabilities_rejected(settings):
     # w**2 used to raise OverflowError; an infinite probability is now named.
     with pytest.raises(ValueError, match="count probabilities overflow at gate duration"):
         _ensemble([1.0, 2.0], **settings)
+
+
+@pytest.mark.parametrize(
+    "intensities", [[1e300], [0.0, 1e160], [1e153] * 10_000], ids=["square", "peak", "sum"]
+)
+def test_overflowing_second_moment_rejected_before_squaring(intensities):
+    # intensities**2 used to overflow with numpy's RuntimeWarning, and the error
+    # then blamed the gate and coefficients.  1e153 squares to a finite 1e306,
+    # but 10,000 of those overflow the sum behind the mean.
+    with pytest.raises(ValueError, match="intensity scale overflows the second moment"):
+        _ensemble(intensities)

@@ -335,6 +335,38 @@ def test_cascade_sweep_list_needs_sweep(tmp_path, capsys, argv, entry, named):
     assert not out_dir.exists()
 
 
+def test_cascade_config_integer_past_float_range_is_named(tmp_path, capsys):
+    # A JSON integer of 401 digits used to end in an OverflowError traceback.
+    config = tmp_path / "cascade.json"
+    config.write_text('{"epsilon_1": 1' + "0" * 400 + "}")
+    out_dir = tmp_path / "out"
+    assert main(["--out-dir", str(out_dir), "cascade", "--config", str(config), "--gates", "100"]) == 1
+    assert capsys.readouterr().err == "error: config key 'epsilon_1' must be a number\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "line,named",
+    [
+        ("classical --scale 1e300", "intensity scale overflows the second moment"),
+        ("beables --region 1 --amp 1e200", "mode amplitude 1e+200"),
+        ("beables --region 1 --amp 1e-200", "mode amplitude 1e-200"),
+        ("beables --region 1 --k0 1e300 --check", "beam wavenumber"),
+        ("photodetect --time 1e300", "exposure time 1e+300"),
+        ("g2 number:100000000 --oracle", "NumberState(n=100000000), from the number state"),
+        ("photodetect --n-max 1001", "cutoff 1001, from n_max (--n-max)"),
+    ],
+)
+def test_extreme_finite_input_is_named(tmp_path, capsys, line, named):
+    # Each used to end in a traceback, a NaN message after a partial output
+    # directory, numpy's overflow warning, or (the oracle) the memory limit.
+    out_dir = tmp_path / "out"
+    assert main(["--out-dir", str(out_dir), *line.split()]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert not out_dir.exists()
+
+
 def test_beables_sweep_needs_region_2(tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert main(["--out-dir", str(out_dir), "beables", "--region", "1", "--sweep"]) == 1

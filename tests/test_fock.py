@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gralab.fock import (
+    MAX_CUTOFF,
     BeamSplitter,
     ChaoticState,
     CoherentState,
@@ -217,6 +218,27 @@ def test_number_state_above_cutoff():
         photon_weights(NumberState(3), n_max=2)
     with pytest.raises(TruncationError):
         oracle_g2(NumberState(3), BALANCED, n_max=2)
+
+
+@pytest.mark.parametrize(
+    "state,n_max,cutoff,source",
+    [
+        (NumberState(MAX_CUTOFF + 1), None, MAX_CUTOFF + 1, "the number state"),
+        (NumberState(3), MAX_CUTOFF + 1, MAX_CUTOFF + 1, "n_max (--n-max)"),
+        (ChaoticState(0.999), None, 27_623, "default_cutoff"),
+    ],
+    ids=["number-state", "n-max", "default-cutoff"],
+)
+def test_cutoff_above_cap_runs_no_oracle(monkeypatch, state, n_max, cutoff, source):
+    # NumberState(10**8) used to exhaust memory in photon_weights.  The cap
+    # is checked before numpy is touched, so no rung or weight is allocated.
+    assert photon_weights(NumberState(MAX_CUTOFF))[0] == MAX_CUTOFF
+    monkeypatch.setattr("gralab.fock.np", None)
+    with pytest.raises(TruncationError) as exc:
+        oracle_g2(state, BALANCED, n_max=n_max)
+    assert str(exc.value) == (
+        f"cutoff {cutoff} of {state!r}, from {source}, exceeds the oracle's cap of {MAX_CUTOFF} rungs"
+    )
 
 
 def _dense_ladder(bs, n_max, n):

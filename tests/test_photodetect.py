@@ -7,7 +7,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from gralab.fock import TruncationError
 from gralab.photodetect import (
+    MAX_CUTOFF,
     DetectorAtomConfig,
     absorption_matrix_element_check,
     energy_mismatch,
@@ -235,3 +237,20 @@ def test_absorption_check_matches_dense_reference(n_max, k0, seed, keep, cancel)
     assert report.amplitude_vanishes == (abs(lowered[0, 0]) <= 1e-12)
     if keep == 1.0:
         assert report.amplitude_vanishes == cancel
+
+
+def test_selection_scan_cutoff_above_cap_allocates_nothing(monkeypatch):
+    monkeypatch.setattr("gralab.photodetect.np", None)
+    with pytest.raises(TruncationError, match=f"cutoff {MAX_CUTOFF + 1}, from n_max"):
+        split_photon_state(0.0, MAX_CUTOFF + 1)
+
+
+@pytest.mark.parametrize(
+    "t,k_max,problem",
+    [(1e300, 3.0, "|eta|^2"), (3e153, 3.0, "|eta|^2"), (1e153, 1e100, "the resonance phase E t / 2")],
+)
+def test_exposure_that_overflows_is_named(t, k_max, problem):
+    # t = 1e300 used to overflow |eta|^2 in the CLI and then svgplot's ticks.
+    with pytest.raises(ValueError) as exc:
+        eta(DetectorAtomConfig(), np.linspace(0.0, k_max, 5), t)
+    assert str(exc.value) == f"exposure time {t:g} overflows {problem}"
