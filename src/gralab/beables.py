@@ -8,11 +8,11 @@ magnetic, and intensity beables at spacetime points, in the divided region
 relative phase phi), together with the field quantum potential, the mode
 wave-equation residual, and the conserved energy.
 
-The beables come from one kernel.  Each ModePair and VacuumModes builds, once,
-a read-only coefficient block that maps its trig rows straight to A, E, B, the
-intensity and the background's curl term.  A call makes one trig pass per
-mode set (cos and sin of the beams' phases, and real cos k.x and sin k.x for
-the background) and one product with the blocks stacked.
+The beables come from one kernel.  A mode set holds the beams, the doubled
+beams that give sin^2 theta = (1 - cos 2 theta) / 2, and the background in one
+wave matrix, rate and phase vector, and one real block with the weights, the
+volume and the background's intensity cross term folded in.  A call makes one
+trig pass and one product; each pair keeps its last mode set for the next.
 
 Natural units: hbar = c = 1 throughout, so neither appears in a signature
 or a formula; the wavenumber of the excited pair sets the frequency scale.
@@ -42,14 +42,14 @@ _XHAT = np.array([1.0, 0.0, 0.0])
 _YHAT = np.array([0.0, 1.0, 0.0])
 _ZHAT = np.array([0.0, 0.0, 1.0])
 
-# Columns of the coefficient blocks, three each: the fields A, E, B and I, and
-# the background's curl term v, which the intensity's cross term reads.
-_A, _E, _B, _I, _V = (slice(3 * i, 3 * i + 3) for i in range(5))
-_COLUMNS = 15
+# Block columns: A, E, B and I, three each, then with a background g = sum of
+# w sin theta and c = pol_a x v / V, whose product the intensity loses.
+_A, _E, _B, _I = (slice(3 * i, 3 * i + 3) for i in range(4))
+_G, _C = 12, slice(13, 16)
 
 
 def _freeze(obj, **arrays) -> None:
-    """Set fields or derived rows of a frozen dataclass as read-only arrays."""
+    """Set fields of a frozen dataclass as read-only arrays."""
     for name, value in arrays.items():
         value.flags.writeable = False
         object.__setattr__(obj, name, value)
@@ -64,8 +64,8 @@ class ModePair:
     one magnitude (a single optical frequency feeds both beams) and each
     polarization must be a unit vector transverse to its wave vector.
     Defaults place beam a along x, beam b along y, both polarized along z,
-    with unit wavenumber.  The pair is frozen, its arrays read-only: the
-    beables read the two beams through a coefficient block built here once.
+    with unit wavenumber.  The pair is frozen, its arrays read-only; the last
+    mode set the beables built from it is kept outside its fields.
     """
 
     amp_a: float
@@ -110,18 +110,8 @@ class ModePair:
                 raise ValueError("polarizations must be unit vectors")
             if abs(float(np.dot(pol, k))) > 1e-9 * ka:
                 raise ValueError("polarizations must be transverse to their wave vectors")
-        k, pol = np.stack([self.k_a, self.k_b]), np.stack([self.pol_a, self.pol_b])
-        amp = np.array([[self.amp_a], [self.amp_b]])
-        # Rows cos theta, w sin theta, sin theta and w sin^2 theta of each beam.
-        block = np.zeros((8, _COLUMNS))
-        block[0:2, _A] = 2.0 * amp * pol
-        block[2:4, _E] = -pol / (2.0 * amp)
-        block[4:6, _B] = -2.0 * amp * np.cross(k, pol)
-        block[6:8, _I] = k
-        phase = np.array([self.phase_a, self.phase_b])
-        _freeze(self, _waves=k.T.copy(), _rate=0.25 / amp[:, 0] ** 2, _phase=phase)
-        _freeze(self, _block=block, _pol_a_cross=_cross_matrix(self.pol_a))
         object.__setattr__(self, "_k0", float(ka))
+        object.__setattr__(self, "_memo", (None, None, None))
 
     @property
     def k0(self) -> float:
@@ -310,16 +300,6 @@ class VacuumModes:
             raise ValueError("vacuum polarizations must be unit vectors")
         if np.any(np.abs(np.sum(self.k_vectors * self.pols, axis=1)) > 1e-9 * norms):
             raise ValueError("vacuum polarizations must be transverse")
-        # Rows cos k.x, then sin k.x, of each mode: u = 2 Re(q e^(i k.x)) pol
-        # and v = curl u = -2 Im(q e^(i k.x)) (k x pol), with B = v.
-        q, curl = self.coords[:, None], np.cross(self.k_vectors, self.pols)
-        block = np.zeros((2 * m, _COLUMNS))
-        block[:m, _A] = 2.0 * q.real * self.pols
-        block[m:, _A] = -2.0 * q.imag * self.pols
-        block[:m, _V] = -2.0 * q.imag * curl
-        block[m:, _V] = -2.0 * q.real * curl
-        block[:, _B] = block[:, _V]
-        _freeze(self, _waves=self.k_vectors.T.copy(), _block=block)
 
     @classmethod
     def sample_ground_state(cls, k_vectors, pols, rng: np.random.Generator) -> "VacuumModes":
@@ -347,37 +327,59 @@ class BeableFrame:
     intensity: np.ndarray
 
 
+def _mode_set(pair, weights, volume, vacuum):
+    """(waves, rates, phases, block, bias) of the doubled beams, the beams at
+    weights (w_a, w_b) and the static background u = 2 Re(q e^(i k.x)) pol,
+    v = curl u: with theta = x @ waves - t rates - phases, the fields are
+    concat(cos theta, sin theta past the doubled beams) @ block + bias."""
+    flux, w = _flux(volume), np.array(weights)[:, None]
+    amp, phase = np.array([[pair.amp_a], [pair.amp_b]]), np.array([pair.phase_a, pair.phase_b])
+    k, pol = np.stack([pair.k_a, pair.k_b]), np.stack([pair.pol_a, pair.pol_b])
+    rate = w[:, 0] / (4.0 * amp[:, 0] ** 2)
+    m, width = (0, 12) if vacuum is None else (len(vacuum.coords), 16)
+    # Rows cos 2 theta, cos theta and cos k.x, then sin theta and sin k.x;
+    # w sin^2 theta k / V is the bias w k / 2V less the cos 2 theta rows.
+    cos, sin, bias = np.zeros((4 + m, width)), np.zeros((2 + m, width)), np.zeros(width)
+    cos[0:2, _I], bias[_I] = -0.5 * w * k, 0.5 * flux * (w * k).sum(axis=0)
+    cos[2:4, _A] = 2.0 * amp * pol
+    sin[0:2, _E] = -w / (2.0 * amp) * pol
+    sin[0:2, _B] = -2.0 * amp * np.cross(k, pol)
+    waves, rates, phases = [2.0 * k, k], [2.0 * rate, rate, np.zeros(m)], [2.0 * phase, phase, np.zeros(m)]
+    if vacuum is not None:
+        q, curl = vacuum.coords[:, None], np.cross(vacuum.k_vectors, vacuum.pols)
+        # q e^(i k.x) = (Re q cos - Im q sin) + i (Im q cos + Re q sin).
+        for rows, re, im in ((cos[4:], q.real, q.imag), (sin[2:], -q.imag, q.real)):
+            rows[:, _A], rows[:, _B] = 2.0 * re * vacuum.pols, -2.0 * im * curl
+            rows[:, _C] = flux * rows[:, _B] @ _cross_matrix(pair.pol_a)
+        sin[0:2, _G] = w[:, 0]
+        waves.append(vacuum.k_vectors)
+    block = np.concatenate((cos, sin))
+    block[:, _I] *= flux  # and A, E, B below carry 1 / sqrt(V)
+    block[:, :9] *= math.sqrt(flux)
+    return np.concatenate(waves).T.copy(), np.concatenate(rates), np.concatenate(phases), block, bias
+
+
 def _frames(pair, weights, x, t, volume, vacuum) -> BeableFrame:
     """Beables of the two beams with weights (w_a, w_b) plus the background.
 
     A weight scales its beam's frequency, electric field and intensity:
     (1, 1) is the divided region, (1 + cos phi, 1 - cos phi) the recombined
     one.  Points x have shape (..., 3) and times t broadcast against x[..., 0].
-    One trig pass per mode set gives the rows of its coefficient block, and
-    one product with the blocks, stacked, gives every field at once.
+    The memo is one tuple, read once, and it holds its background alive, so
+    a concurrent call sees a whole entry and the identity test is safe.
     """
-    _flux(volume)  # rejects a volume that is not positive and finite
-    x = np.asarray(x, dtype=float)
-    w = np.array(weights)
-    theta = x @ pair._waves - np.asarray(t)[..., None] * (w * pair._rate) - pair._phase
-    cos, sin = np.cos(theta), np.sin(theta)
-    ws = w * sin
-    # sin^2 theta is the oscillating factor (1 - cos 2 theta) / 2 of each beam.
-    rows, block = [cos, ws, sin, ws * sin], pair._block
-    if vacuum is not None:
-        kx = x @ vacuum._waves
-        if kx.shape[:-1] != theta.shape[:-1]:  # one point against an array of times
-            kx = np.broadcast_to(kx, theta.shape[:-1] + kx.shape[-1:])
-        rows += [np.cos(kx), np.sin(kx)]
-        block = np.concatenate((block, vacuum._block))
-    # Every column scaled by 1 / sqrt(V), the intensity once more below.
-    rv = math.sqrt(volume)
-    out = np.concatenate(rows, axis=-1) @ (block / rv)
+    key, memo = (weights, volume), pair._memo
+    if memo[1] is not vacuum or memo[0] != key:
+        # _mode_set refuses a bad volume, so none is ever memoised.
+        memo = (key, vacuum, _mode_set(pair, weights, volume, vacuum))
+        object.__setattr__(pair, "_memo", memo)
+    waves, rates, phases, block, bias = memo[2]
+    theta = np.asarray(x, dtype=float) @ waves - np.multiply.outer(t, rates) - phases
+    out = np.concatenate((np.cos(theta), np.sin(theta[..., 2:])), axis=-1) @ block + bias
     intensity = out[..., _I]
     if vacuum is not None:
-        # The background's static cross term pol_a x v, weighted by the beams' w sin theta.
-        intensity = intensity - ws.sum(axis=-1, keepdims=True) * (out[..., _V] @ pair._pol_a_cross)
-    return BeableFrame(out[..., _A], out[..., _E], out[..., _B], intensity / rv)
+        intensity = intensity - out[..., _G, None] * out[..., _C]
+    return BeableFrame(out[..., _A], out[..., _E], out[..., _B], intensity)
 
 
 def beables_region1(
@@ -508,19 +510,20 @@ def total_energy(pair: ModePair, t: float = 0.0) -> float:
     return kinetic + oscillator + float(quantum_potential(pair, q_a, q_b))
 
 
-# Rows of the shifted evaluations: the point itself, t +- h, x + h e_j, x - h e_j,
-# for the central-difference step h in time and in each coordinate.
+# Rows of the shifted evaluations: the point itself, t +- h_t and x +- h_x e_j,
+# with steps that turn the fastest beam phase by _STEP radians at most.
 _STEP = 1e-5
-_TIME_SHIFTS = _STEP * np.array([0.0, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-_POINT_SHIFTS = _STEP * np.concatenate([np.zeros((3, 3)), np.eye(3), -np.eye(3)])
+_TIME_SHIFTS = np.array([0.0, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+_POINT_SHIFTS = np.concatenate([np.zeros((3, 3)), np.eye(3), -np.eye(3)])
 
 
-def _frame_consistency(pair, weights, x, t, volume, vacuum):
+def _frame_consistency(pair, phi, x, t, volume, vacuum):
     # One kernel call evaluates the point and its eight shifts.  Errors are
     # measured against the field envelopes so points where a component
     # passes through zero do not blow up the relative error.
-    x = np.asarray(x, dtype=float)
-    frames = _frames(pair, weights, x + _POINT_SHIFTS, t + _TIME_SHIFTS, volume, vacuum)
+    x, weights = np.asarray(x, dtype=float), _weights(phi)
+    h_t, h_x = _STEP / max(mode_frequencies(pair, phi=phi)), _STEP / pair.k0
+    frames = _frames(pair, weights, x + h_x * _POINT_SHIFTS, t + h_t * _TIME_SHIFTS, volume, vacuum)
     a = frames.vector_potential
     e_field = frames.electric_field[0]
     b_field = frames.magnetic_field[0]
@@ -528,12 +531,12 @@ def _frame_consistency(pair, weights, x, t, volume, vacuum):
     e_floor = 1.0 / (2.0 * rv) * (weights[0] / pair.amp_a + weights[1] / pair.amp_b)
     b_floor = 2.0 * pair.k0 * (pair.amp_a + pair.amp_b) / rv
 
-    e_fd = -(a[1] - a[2]) / (2.0 * _STEP)
+    e_fd = -(a[1] - a[2]) / (2.0 * h_t)
     e_scale = max(float(np.linalg.norm(e_field)), e_floor, 1e-30)
     e_err = float(np.linalg.norm(e_fd - e_field)) / e_scale
 
     # partial[j, k] = dA_k/dx_j; curl_i = partial[j, k] - partial[k, j] for cyclic (i, j, k).
-    partial = (a[3:6] - a[6:9]) / (2.0 * _STEP)
+    partial = (a[3:6] - a[6:9]) / (2.0 * h_x)
     curl = partial[[1, 2, 0], [2, 0, 1]] - partial[[2, 0, 1], [1, 2, 0]]
     b_scale = max(float(np.linalg.norm(b_field)), b_floor, 1e-30)
     b_err = float(np.linalg.norm(curl - b_field)) / b_scale
@@ -544,11 +547,11 @@ def frame_consistency_region1(
     pair: ModePair, x, t: float, volume: float = 1.0, vacuum: VacuumModes | None = None
 ) -> tuple[float, float]:
     """Relative errors of (E vs -dA/dt, B vs curl A) in the divided region."""
-    return _frame_consistency(pair, _weights(None), x, t, volume, vacuum)
+    return _frame_consistency(pair, None, x, t, volume, vacuum)
 
 
 def frame_consistency_region2(
     pair: ModePair, phi: float, x, t: float, volume: float = 1.0, vacuum: VacuumModes | None = None
 ) -> tuple[float, float]:
     """Relative errors of (E vs -dA/dt, B vs curl A) in the recombined region."""
-    return _frame_consistency(pair, _weights(phi), x, t, volume, vacuum)
+    return _frame_consistency(pair, phi, x, t, volume, vacuum)

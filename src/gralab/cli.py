@@ -404,6 +404,10 @@ def cmd_beables(args) -> Run:
 def cmd_photodetect(args) -> Run:
     if not 0.0 < args.k_max < math.inf:
         raise ValueError("spectrum wavenumber range must be positive and finite")
+    # The mismatch squares k_en and the form factor squares 1 + k_en^2.
+    square = 1.0 + args.k_max * args.k_max
+    if not square * square < math.inf:
+        raise ValueError(f"--k-max {args.k_max:g} overflows the form factor's (1 + k^2)^2")
     cfg = photodetect.DetectorAtomConfig(k0=args.k0, phi=args.phi)
     k_res = photodetect.resonant_wavenumber(cfg)
     k_grid = np.linspace(0.0, args.k_max, args.samples)

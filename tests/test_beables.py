@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gralab import beables, checks
@@ -663,6 +663,100 @@ def test_kernel_matches_closed_form_in_every_call_shape(phi, vacuum_modes):
     assert series.vector_potential.shape == (6, 3)
     for j, t in enumerate(times):
         check_closed_form(points[0], t, _row(series, j))
+
+
+@given(
+    rigid=st.booleans(),
+    amps=st.tuples(st.floats(0.3, 3.0), st.floats(0.3, 3.0)),
+    phases=st.tuples(ANGLE, ANGLE),
+    k0=st.floats(0.5, 2.0),
+    phi=st.none() | ANGLE,
+    volume=st.floats(0.2, 5.0),
+    modes=st.sampled_from([0, 1, 16]),
+    seed=st.integers(0, 2**16),
+    points=st.lists(st.tuples(*[st.floats(-5.0, 5.0)] * 3), min_size=1, max_size=5),
+    times=st.floats(0.0, 20.0) | st.lists(st.floats(0.0, 20.0), min_size=5, max_size=5),
+)
+@settings(max_examples=50)
+def test_per_point_frame_is_a_row_of_the_batched_frame(
+    rigid, amps, phases, k0, phi, volume, modes, seed, points, times
+):
+    # The benchmark calls one point at a time, the CLI once for every point.
+    if rigid:
+        pair = ModePair.single_frequency(amps[0], phase_b=phases[1], k0=k0)
+    else:
+        pair = ModePair(
+            amp_a=amps[0], amp_b=amps[1], phase_a=phases[0], phase_b=phases[1],
+            k_a=k0 * np.array([1.0, 0.0, 0.0]), k_b=k0 * np.array([0.0, 1.0, 0.0]),
+        )
+    vac = _sample_vacuum(n=modes, seed=seed) if modes else None
+    points = np.array(points)
+    times = times if isinstance(times, float) else np.array(times[: len(points)])
+
+    def build(x, t):
+        if phi is None:
+            return beables_region1(pair, x, t, volume, vac)
+        return beables_region2(pair, phi, x, t, volume, vac)
+
+    weights = beables._weights(phi)
+    beams = [
+        (pair.k_a, pair.pol_a, pair.amp_a, pair.phase_a, weights[0]),
+        (pair.k_b, pair.pol_b, pair.amp_b, pair.phase_b, weights[1]),
+    ]
+    mode_rows = [] if vac is None else list(zip(vac.k_vectors, vac.pols, vac.coords))
+    # The envelopes are sums of amplitudes: the same at every point and time.
+    _, envelopes = _closed_form(beams, mode_rows, points[0], 0.0, volume, 1.0, 1.0, pair.pol_a)
+    batch = build(points, times)
+    for i, (x, t) in enumerate(zip(points, np.broadcast_to(times, len(points)))):
+        single = build(x, float(t))
+        for name, envelope in zip(FIELDS, envelopes):
+            gap = np.abs(getattr(single, name) - getattr(batch, name)[i]).max()
+            assert gap <= 1e-13 * envelope, name
+
+
+def test_mode_set_memo_never_serves_a_stale_block():
+    # A pair keeps the mode set of its last call.  Between every two settings,
+    # in both orders, its frames must equal those of a pair that never ran.
+    def fresh():
+        return ModePair(amp_a=0.9, amp_b=1.2, phase_a=2.0, phase_b=0.3)
+
+    geometry = _sample_vacuum(n=4, seed=61)
+    # The same geometry with other coordinates.
+    twin = VacuumModes(geometry.k_vectors, geometry.pols, geometry.coords * (0.5 - 1.5j))
+    rng = np.random.default_rng(67)
+    points, times = rng.uniform(-3.0, 3.0, (5, 3)), rng.uniform(0.0, 20.0, 5)
+
+    def build(pair, setting):
+        vac, phi, volume = setting
+        if phi is None:
+            return beables_region1(pair, points, times, volume, vac)
+        return beables_region2(pair, phi, points, times, volume, vac)
+
+    settings = [
+        (vac, phi, volume)
+        for vac in (geometry, twin, None)
+        for phi in (None, 0.4, 1.3, 2.9)
+        for volume in (0.7, 2.5)
+    ]
+    want = [build(fresh(), setting) for setting in settings]
+    pair = fresh()
+    for i, j in np.ndindex(len(settings), len(settings)):
+        for k in (i, j):
+            got = build(pair, settings[k])
+            for name in FIELDS:
+                assert np.array_equal(getattr(got, name), getattr(want[k], name)), (settings[k], name)
+    # A bad volume is never memoised, so it is refused after any valid call.
+    for volume in (math.nan, 0.0, math.inf):
+        for _ in range(2):
+            build(pair, (geometry, 1.3, 2.5))
+            with pytest.raises(ValueError):
+                build(pair, (geometry, 1.3, volume))
+            with pytest.raises(ValueError):
+                frame_consistency_region2(pair, 1.3, points[0], 0.5, volume, geometry)
+    # The memo is no field: the pair's fields, and so its equality, are unchanged.
+    assert [field.name for field in dataclasses.fields(pair)] == [
+        "amp_a", "amp_b", "phase_a", "phase_b", "k_a", "k_b", "pol_a", "pol_b",
+    ]
 
 
 # Test-only reference: the field quantum potential of any modulus by

@@ -353,6 +353,8 @@ def test_cascade_config_integer_past_float_range_is_named(tmp_path, capsys):
         ("beables --region 1 --amp 1e-200", "mode amplitude 1e-200"),
         ("beables --region 1 --k0 1e300 --check", "beam wavenumber"),
         ("photodetect --time 1e300", "exposure time 1e+300"),
+        ("photodetect --k-max 1e100", "--k-max 1e+100"),
+        ("photodetect --k-max 1e300", "--k-max 1e+300"),
         ("g2 number:100000000 --oracle", "NumberState(n=100000000), from the number state"),
         ("photodetect --n-max 1001", "cutoff 1001, from n_max (--n-max)"),
     ],
@@ -414,6 +416,25 @@ def test_beables_region1_with_checks(tmp_path, capsys):
     table = np.array(json.loads((tmp_path / "json" / "fields.json").read_text())["rows"])
     assert np.all(np.abs(table - want) <= 1e-12 * envelope)
     assert "checks" not in _manifest(tmp_path / "json", "beables")
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "--region 1 --k0 1000",
+        "--region 1 --amp 0.01",
+        "--region 1 --amp 0.001",
+        "--region 2 --phi 1.0 --amp 0.01",
+    ],
+)
+def test_beables_checks_pass_at_large_wavenumber_and_fast_rotation(tmp_path, capsys, line):
+    # Fixed central-difference steps failed these frames: B vs curl A read
+    # 5.9e-6 at k0 1000, E vs -dA/dt 7.2e-6, 5.2e-2 and 1.8e-4 at the small
+    # amplitudes, whose frequency 1 / (4 amp^2) is large.
+    assert main(["--out-dir", str(tmp_path), "beables", *line.split(), "--check", "--samples", "9"]) == 0
+    out = capsys.readouterr().out
+    assert "[ok] E vs -(1/c) dA/dt" in out and "[ok] B vs curl A" in out
+    assert "FAIL" not in out
 
 
 def test_beables_failed_check_is_recorded(tmp_path, capsys, monkeypatch):
