@@ -30,10 +30,6 @@ class SingularDenominator(ValueError):
     """The guiding denominator q_a - i q_b vanished; the motion is undefined."""
 
 
-class StepTooLarge(ValueError):
-    """Requested integration step cannot resolve the fastest rotation."""
-
-
 class EmptyCurve(ValueError):
     """A visibility needs at least one sample."""
 
@@ -55,7 +51,7 @@ def _freeze(obj, **arrays) -> None:
         object.__setattr__(obj, name, value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModePair:
     """Two excited traveling-wave coordinates with their geometry.
 
@@ -64,8 +60,9 @@ class ModePair:
     one magnitude (a single optical frequency feeds both beams) and each
     polarization must be a unit vector transverse to its wave vector.
     Defaults place beam a along x, beam b along y, both polarized along z,
-    with unit wavenumber.  The pair is frozen, its arrays read-only; the last
-    mode set the beables built from it is kept outside its fields.
+    with unit wavenumber.  The pair is frozen, its scalars floats and its
+    arrays read-only, and it compares by identity; the last mode set the
+    beables built from it is kept outside its fields.
     """
 
     amp_a: float
@@ -78,6 +75,13 @@ class ModePair:
     pol_b: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        # An int amplitude would reach the kernel as an int64 array, where
+        # amp^2 wraps; every scalar is stored as a float.
+        for name in ("amp_a", "amp_b", "phase_a", "phase_b"):
+            try:
+                object.__setattr__(self, name, float(getattr(self, name)))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"{name} does not convert to a float: {exc}") from None
         # Written so that NaN fails every comparison and is rejected.
         if not (0.0 < self.amp_a < math.inf and 0.0 < self.amp_b < math.inf):
             raise ValueError("mode amplitudes must be positive and finite")
@@ -225,26 +229,16 @@ class ModeTrajectory:
     q_b: np.ndarray
 
 
-def integrate_region1(pair: ModePair, t_end: float, dt: float | None = None) -> ModeTrajectory:
+def integrate_region1(pair: ModePair, t_end: float) -> ModeTrajectory:
     """Integrate the coupled equations of motion with fixed-step RK4.
 
-    The default step resolves the fastest of the mode frequencies and the
-    rigid-rotation frequency with a thousand steps per cycle; explicit
-    steps coarser than an eighth of that cycle raise StepTooLarge.
+    The step resolves the fastest of the mode frequencies and the
+    rigid-rotation frequency with a thousand steps per cycle.
     """
     if not 0.0 <= t_end < math.inf:
         raise ValueError("end time must be nonnegative and finite")
-    omega_a, omega_b = mode_frequencies(pair)
     a0, b0, _, omega_turn = _start(pair)
-    fastest = max(omega_a, omega_b, omega_turn)
-    cycle = 2.0 * math.pi / fastest
-    if dt is None:
-        dt = cycle / 1000.0
-    if not dt > 0.0:  # NaN fails here; an infinite step is StepTooLarge
-        raise ValueError("step must be positive")
-    if dt > cycle / 8.0:
-        raise StepTooLarge(f"step {dt:.3e} exceeds an eighth of the fastest cycle {cycle:.3e}")
-
+    dt = 2.0 * math.pi / max(*mode_frequencies(pair), omega_turn) / 1000.0
     if not t_end / dt < math.inf:
         raise ValueError(f"end time {t_end:g} needs more RK4 steps of {dt:.3e} than a float counts")
 
@@ -269,14 +263,15 @@ def integrate_region1(pair: ModePair, t_end: float, dt: float | None = None) -> 
     return ModeTrajectory(np.linspace(0.0, t_end, n + 1), np.conj(path_a), np.conj(path_b))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VacuumModes:
     """Unexcited mode coordinates entering the beables as background noise.
 
     Each row represents one +k member of a +-k pair (the -k partner is the
     conjugate coordinate, already folded into the sums), so every mode
     contributes a real standing-wave term.  Unexcited coordinates do not
-    move, so the fields they source are static.  Frozen like ModePair.
+    move, so the fields they source are static.  Frozen and compared by
+    identity, like ModePair.
     """
 
     k_vectors: np.ndarray
@@ -466,9 +461,10 @@ def quantum_potential(pair: ModePair, q_a, q_b):
 
 def _quantum_gradient(pair: ModePair, q_a, q_b):
     """Wirtinger gradient (dQ/dq_a, dQ/dq_b) of quantum_potential:
-    -k0^2 q* + (1, -i) / (2 w^2 w*)."""
+    -k0^2 q* + (1, -i) / (2 w^2 w*), with 1 / (w^2 w*) = 1 / (|w|^2 w),
+    which overflows nothing where |w|^2 is finite."""
     q_a, q_b, w = _guiding(q_a, q_b)
-    pull = 0.5 / (w**2 * np.conj(w))
+    pull = 0.5 / np.abs(w) ** 2 / w
     k2 = pair.k0**2
     return -k2 * np.conj(q_a) + pull, -k2 * np.conj(q_b) - 1j * pull
 

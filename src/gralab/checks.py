@@ -1,9 +1,10 @@
 """Physics checks as records: every --check bound and probe point in one place.
 
 Each builder returns a list of Check records that the CLI prints and writes
-to its manifest and that the acceptance tests assert on.  The beables are
-called through the module attribute, so a rebinding of gralab.beables
-functions (tracing, test doubles) reaches these calls too.
+to its manifest and that the acceptance tests assert on.  The beables and
+the photon overlap factor are called through their module attributes, so a
+rebinding of gralab.beables or gralab.photodetect functions (tracing, test
+doubles) reaches these calls too.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import beables
+from . import beables, photodetect
 
 
 @dataclass(frozen=True)
@@ -81,11 +82,15 @@ def fringes(i_c, i_d) -> list[Check]:
     ]
 
 
-def absorption(report) -> list[Check]:
-    """No non-vacuum overlap, and exactly one surviving field sector unless
-    the two path amplitudes cancel and nothing is absorbed."""
+def absorption(report, cfg) -> list[Check]:
+    """No non-vacuum overlap, exactly one surviving field sector unless the
+    two path amplitudes cancel and nothing is absorbed, and a scanned vacuum
+    amplitude equal to the photon factor of eta for the atom cfg, to 1e-12 of
+    that factor's largest modulus sqrt(2 / k0)."""
     records = [_below("largest non-vacuum overlap", report.largest_other, 1e-12)]
     if not report.amplitude_vanishes:
         count = report.nonzero_count
         records.append(Check("surviving field sectors", float(count), 1.0, count == 1))
+    gap = abs(report.vacuum_amplitude - photodetect.mode_overlap_factor(cfg))
+    records.append(_below("vacuum amplitude vs overlap factor", gap, 1e-12 * math.sqrt(2.0 / cfg.k0)))
     return records

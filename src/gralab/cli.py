@@ -424,18 +424,16 @@ def cmd_photodetect(args) -> Run:
         title=f"Ejection spectrum after t = {args.time:g}", xlabel="energy mismatch", ylabel="|eta|^2"
     )
 
-    report = photodetect.absorption_matrix_element_check(
-        photodetect.split_photon_state(args.phi, args.n_max), k0=args.k0
-    )
+    report = photodetect.absorption_matrix_element_check(photodetect.split_photon_state(args.phi), k0=args.k0)
     vacuum = report.vacuum_amplitude
     selection = {**asdict(report), "vacuum_amplitude": [vacuum.real, vacuum.imag]}
-    results = checks.absorption(report)
+    results = checks.absorption(report, cfg)
     lines = _report(results)
     if report.amplitude_vanishes:
         lines.append("note: the two path amplitudes cancel at this phase; no absorption")
     lines.append(f"resonant wavenumber k_en = {k_res:g}")
 
-    config = {key: getattr(args, key) for key in ("k0", "phi", "time", "k_max", "samples", "n_max")}
+    config = {key: getattr(args, key) for key in ("k0", "phi", "time", "k_max", "samples")}
     return Run(
         config, tables=tables, plots=[("spectrum", series, plot)],
         documents=[("selection", selection)], lines=lines, checks=results,
@@ -507,7 +505,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time", type=float, default=20.0, help="exposure time")
     p.add_argument("--k-max", type=float, default=3.0, help="spectrum wavenumber range")
     p.add_argument("--samples", type=_int_at_least(1), default=400)
-    p.add_argument("--n-max", type=_int_at_least(1), default=8, help="selection-scan cutoff")
     p.set_defaults(func=cmd_photodetect)
 
     return parser

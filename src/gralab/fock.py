@@ -31,6 +31,10 @@ class TruncationError(ValueError):
     """Probability leaked past the Fock-space cutoff beyond tolerance."""
 
 
+# Largest photon-number weight the oracle may leave beyond its cutoff.
+LEAKAGE_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class BeamSplitter:
     """Lossless splitter with real transmission t, reflection r, t^2 + r^2 = 1.
@@ -181,7 +185,7 @@ def _rungs(bs: BeamSplitter, top: int):
         yield out
 
 
-def default_cutoff(state: InputState, leakage_tol: float = 1e-12) -> int:
+def default_cutoff(state: InputState, leakage_tol: float = LEAKAGE_TOL) -> int:
     """Cutoff keeping the truncated weight of the photon-number
     distribution at or below the leakage tolerance (with headroom)."""
     if isinstance(state, NumberState):
@@ -227,18 +231,16 @@ def poisson_weights(mean: float, n_max: int) -> tuple[np.ndarray, float]:
     return weights / total, math.fsum(terms[cut:]) / total
 
 
-def photon_weights(
-    state: InputState, n_max: int | None = None, leakage_tol: float = 1e-12
-) -> tuple[int, np.ndarray, float]:
+def photon_weights(state: InputState, n_max: int | None = None) -> tuple[int, np.ndarray, float]:
     """The oracle's cutoff, the input's photon-number weights on 0 .. n_max,
     and the untruncated weight beyond the cutoff (reported, not renormalized).
 
     Raises TruncationError when the cutoff exceeds MAX_CUTOFF, cannot hold
-    a number state, or leaves a tail above the leakage tolerance.
+    a number state, or leaves a tail above LEAKAGE_TOL.
     """
     source = "n_max (--n-max)"
     if n_max is None:
-        n_max = default_cutoff(state, leakage_tol)
+        n_max = default_cutoff(state)
         source = "the number state" if isinstance(state, NumberState) else "default_cutoff"
     if n_max > MAX_CUTOFF:
         raise TruncationError(
@@ -256,15 +258,13 @@ def photon_weights(
         tail = float(state.u ** (n_max + 1))
     else:
         raise TypeError(f"unsupported state type: {type(state).__name__}")
-    if tail > leakage_tol:
-        raise TruncationError(
-            f"weight {tail:.3e} beyond cutoff {n_max} exceeds tolerance {leakage_tol:.1e}"
-        )
+    if tail > LEAKAGE_TOL:
+        raise TruncationError(f"weight {tail:.3e} beyond cutoff {n_max} exceeds tolerance {LEAKAGE_TOL:.1e}")
     return n_max, weights, tail
 
 
 def oracle_moments(
-    state: InputState, bs: BeamSplitter, n_max: int | None = None, leakage_tol: float = 1e-12
+    state: InputState, bs: BeamSplitter, n_max: int | None = None
 ) -> tuple[float, float, float]:
     """(<n_t>, <n_r>, <n_t n_r>) of the brute-force two-arm output state.
 
@@ -272,7 +272,7 @@ def oracle_moments(
     photon_weights (a number state is the single rung n); each rung adds
     its moments as it is built and is not kept.
     """
-    weights = photon_weights(state, n_max, leakage_tol)[1].tolist()
+    weights = photon_weights(state, n_max)[1].tolist()
     top = state.n if isinstance(state, NumberState) else len(weights) - 1
     # Rows 1, j, j^2 (twice each, for a rung's real and imaginary parts)
     # give sum p, sum j p, sum j^2 p over its probabilities p; with them
@@ -291,16 +291,11 @@ def oracle_moments(
     return exp_t, exp_r, exp_c
 
 
-def oracle_g2(
-    state: InputState,
-    bs: BeamSplitter | None = None,
-    n_max: int | None = None,
-    leakage_tol: float = 1e-12,
-) -> float:
+def oracle_g2(state: InputState, bs: BeamSplitter | None = None, n_max: int | None = None) -> float:
     """Coincidence ratio evaluated from the brute-force output state."""
     if bs is None:
         bs = BeamSplitter()
-    exp_t, exp_r, exp_c = oracle_moments(state, bs, n_max=n_max, leakage_tol=leakage_tol)
+    exp_t, exp_r, exp_c = oracle_moments(state, bs, n_max=n_max)
     if exp_t <= 0.0 or exp_r <= 0.0:
         raise DegenerateState("coincidence ratio undefined for a dark arm or empty input")
     return exp_c / (exp_t * exp_r)

@@ -20,13 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import TruncationError
-
-# Largest cutoff of the selection scan.  Its rungs 0 .. n_max hold O(n_max^2)
-# amplitudes: at this cap the scan takes about 35 ms and 30 MB (2 CPUs,
-# numpy 2.4).  A larger cutoff is refused before anything is allocated.
-MAX_CUTOFF = 1000
-
 # Hydrogen's coupling e / mu sqrt(1 / 2V), with e^2 = 4 pi and mu = V = 1.
 _COUPLING = math.sqrt(4.0 * math.pi) * math.sqrt(0.5)
 
@@ -114,21 +107,13 @@ def resonant_wavenumber(cfg: DetectorAtomConfig) -> float:
     return math.sqrt(2.0 * surplus)
 
 
-def split_photon_state(phi: float, n_max: int = 1) -> list[np.ndarray]:
+def split_photon_state(phi: float) -> list[np.ndarray]:
     """Single photon split over two paths with the interferometer phase.
 
     Path amplitudes -e^(i phi) and i, each weighted 1/sqrt(2), fill rung 1
-    of the rungs 0 .. n_max (amplitude j of rung k on |k-j>_t |j>_r).
+    of the rungs 0 and 1 (amplitude j of rung k on |k-j>_t |j>_r).
     """
-    if n_max < 1:
-        raise ValueError("need at least the one-photon sector")
-    if n_max > MAX_CUTOFF:
-        raise TruncationError(
-            f"cutoff {n_max}, from n_max (--n-max), exceeds the selection scan's cap of {MAX_CUTOFF} rungs"
-        )
-    rungs = [np.zeros(k + 1, dtype=complex) for k in range(n_max + 1)]
-    rungs[1][:] = -np.exp(1j * phi) / math.sqrt(2.0), 1j / math.sqrt(2.0)
-    return rungs
+    return [np.zeros(1, dtype=complex), np.array([-np.exp(1j * phi), 1j]) / math.sqrt(2.0)]
 
 
 @dataclass(frozen=True)

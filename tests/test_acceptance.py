@@ -232,10 +232,10 @@ def test_criterion_8_interference_beables(capsys):
 def test_criterion_9_whole_quantum_absorption(capsys):
     t0 = time.perf_counter()
     failures = []
-    report = photodetect.absorption_matrix_element_check(photodetect.split_photon_state(0.0, n_max=8))
-    records = checks.absorption(report)
-    if len(records) != 2:
-        failures.append(f"{len(records)} absorption checks instead of 2")
+    report = photodetect.absorption_matrix_element_check(photodetect.split_photon_state(0.0))
+    records = checks.absorption(report, photodetect.DetectorAtomConfig(phi=0.0))
+    if len(records) != 3:
+        failures.append(f"{len(records)} absorption checks instead of 3")
     failures += _failed(records)
     exposure = 3.0
     mismatch = np.linspace(-6.0, 6.0, 241)

@@ -5,13 +5,13 @@ import json
 import math
 import re
 import shlex
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gralab import checks
+from gralab import checks, photodetect
 from gralab.beables import ModePair, beables_region1
 from gralab.cascade import CascadeConfig, correlation_for_f, exact_alpha
 from gralab.cli import main
@@ -356,7 +356,6 @@ def test_cascade_config_integer_past_float_range_is_named(tmp_path, capsys):
         ("photodetect --k-max 1e100", "--k-max 1e+100"),
         ("photodetect --k-max 1e300", "--k-max 1e+300"),
         ("g2 number:100000000 --oracle", "NumberState(n=100000000), from the number state"),
-        ("photodetect --n-max 1001", "cutoff 1001, from n_max (--n-max)"),
     ],
 )
 def test_extreme_finite_input_is_named(tmp_path, capsys, line, named):
@@ -435,6 +434,19 @@ def test_beables_checks_pass_at_large_wavenumber_and_fast_rotation(tmp_path, cap
     out = capsys.readouterr().out
     assert "[ok] E vs -(1/c) dA/dt" in out and "[ok] B vs curl A" in out
     assert "FAIL" not in out
+
+
+def test_beables_huge_amplitude_checks_run_without_overflow(tmp_path, capsys):
+    # The quantum gradient formed w^2 w*, which overflowed past amp 1e102 and,
+    # under filterwarnings = error, ended in a RuntimeWarning.  The energy
+    # drift still fails: 3 k0 is lost beside k0^2 rho^2 in floating point.
+    argv = ["beables", "--region", "1", "--amp", "1e150", "--check", "--samples", "9"]
+    assert main(["--out-dir", str(tmp_path), *argv]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "[ok] wave-equation residual", "[ok] E vs -(1/c) dA/dt", "[ok] B vs curl A",
+        "[FAIL] energy drift over a cycle",
+    ]
 
 
 def test_beables_failed_check_is_recorded(tmp_path, capsys, monkeypatch):
@@ -554,7 +566,11 @@ def test_photodetect_outputs(tmp_path, capsys):
     assert _manifest(tmp_path, "photodetect")["checks"] == [
         {"label": "largest non-vacuum overlap", "value": 0.0, "bound": 1e-12, "passed": True},
         {"label": "surviving field sectors", "value": 1.0, "bound": 1.0, "passed": True},
+        {"label": "vacuum amplitude vs overlap factor", "value": 0.0, "bound": 1e-12 * math.sqrt(2.0),
+         "passed": True},
     ]
+    assert "n_max" not in _manifest(tmp_path, "photodetect")["config"]
+    assert selection["n_max"] == 1
 
 
 def test_photodetect_dark_phase(tmp_path, capsys):
@@ -564,15 +580,34 @@ def test_photodetect_dark_phase(tmp_path, capsys):
     selection = json.loads((tmp_path / "selection.json").read_text())
     assert selection["amplitude_vanishes"]
     assert selection["nonzero_count"] == 0
-    # No sector count when nothing is absorbed: only the overlap is checked.
-    (record,) = _manifest(tmp_path, "photodetect")["checks"]
-    assert record["label"] == "largest non-vacuum overlap"
-    # The check line first, then the note, then the resonant wavenumber.
+    # No sector count when nothing is absorbed: the overlap and the vacuum
+    # amplitude, which must vanish with the overlap factor, are checked.
+    overlap, vacuum = _manifest(tmp_path, "photodetect")["checks"]
+    assert overlap["label"] == "largest non-vacuum overlap"
+    assert vacuum["label"] == "vacuum amplitude vs overlap factor" and vacuum["passed"]
+    # The check lines first, then the note, then the resonant wavenumber.
     assert capsys.readouterr().out.splitlines() == [
-        f"[ok] largest non-vacuum overlap: {record['value']:.3e} (bound 1.0e-12)",
+        f"[ok] largest non-vacuum overlap: {overlap['value']:.3e} (bound 1.0e-12)",
+        f"[ok] vacuum amplitude vs overlap factor: {vacuum['value']:.3e} (bound 1.4e-12)",
         "note: the two path amplitudes cancel at this phase; no absorption",
         "resonant wavenumber k_en = 1",
     ]
+
+
+def test_photodetect_overlap_factor_off_by_a_quarter_turn_fails(tmp_path, capsys, monkeypatch):
+    # The scan and eta's photon factor are computed apart; a factor with its
+    # phase offset by pi/2 vanishes at phi = 0, where the scan reads modulus 1.
+    factor = photodetect.mode_overlap_factor
+
+    def shifted(cfg):
+        return factor(replace(cfg, phi=cfg.phi + math.pi / 2.0))
+
+    monkeypatch.setattr("gralab.photodetect.mode_overlap_factor", shifted)
+    assert main(["--out-dir", str(tmp_path), "photodetect", "--phi", "0"]) == 1
+    record = _manifest(tmp_path, "photodetect")["checks"][-1]
+    assert record["label"] == "vacuum amplitude vs overlap factor" and not record["passed"]
+    assert abs(record["value"] - 1.0) < 1e-12
+    assert "[FAIL] vacuum amplitude vs overlap factor: 1.000e+00" in capsys.readouterr().out
 
 
 def test_photodetect_photon_below_binding_energy_writes_nothing(tmp_path, capsys):

@@ -7,9 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from gralab.fock import TruncationError
 from gralab.photodetect import (
-    MAX_CUTOFF,
     DetectorAtomConfig,
     absorption_matrix_element_check,
     energy_mismatch,
@@ -144,12 +142,10 @@ def test_overlap_factor_magnitudes():
 
 def test_split_state_normalized():
     for phi in (0.0, 1.1, math.pi):
-        for n_max in (1, 4):
-            state = split_photon_state(phi, n_max)
-            assert [len(rung) for rung in state] == list(range(1, n_max + 2))
-            assert np.abs(np.linalg.norm(np.concatenate(state)) - 1.0) < 1e-15
-    with pytest.raises(ValueError):
-        split_photon_state(0.0, n_max=0)
+        state = split_photon_state(phi)
+        assert [len(rung) for rung in state] == [1, 2]
+        assert state[0][0] == 0.0
+        assert np.abs(np.linalg.norm(np.concatenate(state)) - 1.0) < 1e-15
 
 
 def test_selection_rule_vacuum_only():
@@ -160,15 +156,6 @@ def test_selection_rule_vacuum_only():
         assert report.largest_other == 0.0
         assert report.nonzero_count == 1
         assert not report.amplitude_vanishes
-
-
-def test_selection_rule_independent_of_cutoff():
-    reference = absorption_matrix_element_check(split_photon_state(0.7, n_max=1))
-    for n_max in (3, 8):
-        report = absorption_matrix_element_check(split_photon_state(0.7, n_max=n_max))
-        assert np.abs(report.vacuum_amplitude - reference.vacuum_amplitude) < 1e-15
-        assert report.largest_other == 0.0
-        assert report.nonzero_count == 1
 
 
 def test_selection_rule_dark_fringe():
@@ -237,12 +224,6 @@ def test_absorption_check_matches_dense_reference(n_max, k0, seed, keep, cancel)
     assert report.amplitude_vanishes == (abs(lowered[0, 0]) <= 1e-12)
     if keep == 1.0:
         assert report.amplitude_vanishes == cancel
-
-
-def test_selection_scan_cutoff_above_cap_allocates_nothing(monkeypatch):
-    monkeypatch.setattr("gralab.photodetect.np", None)
-    with pytest.raises(TruncationError, match=f"cutoff {MAX_CUTOFF + 1}, from n_max"):
-        split_photon_state(0.0, MAX_CUTOFF + 1)
 
 
 @pytest.mark.parametrize(
