@@ -21,6 +21,7 @@ or a formula; the wavenumber of the excited pair sets the frequency scale.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -454,19 +455,27 @@ def quantum_potential(pair: ModePair, q_a, q_b):
     Q = 3 k0 - k0^2 rho^2 - 1 / (2 |w|^2).
     Broadcasts over arrays of coordinates.
     """
+    constant, oscillator, pull = _potential_terms(pair, q_a, q_b)
+    return constant + oscillator + pull
+
+
+def _potential_terms(pair: ModePair, q_a, q_b):
+    """The three terms of quantum_potential: 3 k0, -k0^2 rho^2 and -1 / (2 |w|^2)."""
     q_a, q_b, w = _guiding(q_a, q_b)
     k0 = pair.k0
-    return 3.0 * k0 - k0**2 * (np.abs(q_a) ** 2 + np.abs(q_b) ** 2) - 0.5 / np.abs(w) ** 2
+    return 3.0 * k0, -(k0**2) * (np.abs(q_a) ** 2 + np.abs(q_b) ** 2), -0.5 / np.abs(w) ** 2
 
 
 def _quantum_gradient(pair: ModePair, q_a, q_b):
-    """Wirtinger gradient (dQ/dq_a, dQ/dq_b) of quantum_potential:
-    -k0^2 q* + (1, -i) / (2 w^2 w*), with 1 / (w^2 w*) = 1 / (|w|^2 w),
-    which overflows nothing where |w|^2 is finite."""
+    """Wirtinger gradient (dQ/dq_a, dQ/dq_b) of quantum_potential in two
+    parts: the oscillator part -k0^2 (q_a*, q_b*) and the quantum pull
+    (1, -i) / (2 w^2 w*), with 1 / (w^2 w*) = 1 / (|w|^2 w), which overflows
+    nothing where |w|^2 is finite.  Their sum would round the pull away
+    from amp ~ 1e3, where it falls below the oscillator part's last bit."""
     q_a, q_b, w = _guiding(q_a, q_b)
     pull = 0.5 / np.abs(w) ** 2 / w
     k2 = pair.k0**2
-    return -k2 * np.conj(q_a) + pull, -k2 * np.conj(q_b) - 1j * pull
+    return (-k2 * np.conj(q_a), -k2 * np.conj(q_b)), (pull, -1j * pull)
 
 
 def wave_equation_residual(pair: ModePair, t: float) -> float:
@@ -476,18 +485,23 @@ def wave_equation_residual(pair: ModePair, t: float) -> float:
     analytic_region1 differentiated twice (w0 = q_a* + i q_b* turns at
     omega, so q_a*'' = -w0 omega^2 e^(i omega t) / 2 and q_b*'' = -i times
     that) and dQ/dq the gradient of quantum_potential.  The residual thus
-    ties the orbit, the equations of motion and Q together.
+    ties the orbit, the equations of motion and Q together.  The oscillator
+    terms are summed first, where they cancel exactly, so the residual is
+    relative to the quantum pull 1 / (2 |w|^3) that q*'' balances.  A pull
+    below the smallest normal float, from amp ~ 1e102, has lost its
+    precision, and the residual is relative to that float there.
     """
     _, _, w0, omega = _start(pair)
-    turn = 0.5 * w0 * omega**2 * np.exp(1j * omega * t)
+    # omega^2 alone would underflow from amp ~ 1e80, long before q*'' does.
+    turn = 0.5 * w0 * omega * omega * np.exp(1j * omega * t)
     d2_a, d2_b = -turn, 1j * turn
     qa_star, qb_star = analytic_region1(pair, t)
-    grad_a, grad_b = _quantum_gradient(pair, np.conj(qa_star), np.conj(qb_star))
+    (osc_a, osc_b), (pull_a, pull_b) = _quantum_gradient(pair, np.conj(qa_star), np.conj(qb_star))
     k2 = pair.k0**2
-    res_a = d2_a + k2 * qa_star + grad_a
-    res_b = d2_b + k2 * qb_star + grad_b
-    scale = max(abs(d2_a), abs(d2_b), k2 * abs(qa_star), k2 * abs(qb_star), 1e-30)
-    return float(math.hypot(abs(res_a), abs(res_b)) / scale)
+    res_a = (k2 * qa_star + osc_a) + (d2_a + pull_a)
+    res_b = (k2 * qb_star + osc_b) + (d2_b + pull_b)
+    h = abs(w0)
+    return float(math.hypot(abs(res_a), abs(res_b)) / max(0.5 / h / h / h, sys.float_info.min))
 
 
 def total_energy(pair: ModePair, t: float = 0.0) -> float:
@@ -495,15 +509,24 @@ def total_energy(pair: ModePair, t: float = 0.0) -> float:
 
     Each coordinate contributes 2 (|dq*/dt|^2 / 2 + k0^2 |q|^2 / 2), weight 2
     for its -k partner.  With quantum_potential the total is 3 k0 for every
-    state, so it is a constant of the motion for every trajectory.
+    state, so it is a constant of the motion for every trajectory.  The
+    terms of _energy_terms are summed exactly, so an overflowed k0^2 rho^2
+    raises ValueError (inf - inf).
     """
+    return math.fsum(_energy_terms(pair, t))
+
+
+def _energy_terms(pair: ModePair, t: float) -> list[float]:
+    """Kinetic, oscillator and the three _potential_terms at time t.  The
+    oscillator and -k0^2 rho^2 take |q| from the same numpy absolute, whose
+    last bit can differ from Python's abs, so they cancel exactly."""
     qa_star, qb_star = analytic_region1(pair, t)
     q_a = complex(np.conj(qa_star))
     q_b = complex(np.conj(qb_star))
     da, db = region1_equations_of_motion(q_a, q_b)
     kinetic = abs(da) ** 2 + abs(db) ** 2
-    oscillator = pair.k0**2 * (abs(q_a) ** 2 + abs(q_b) ** 2)
-    return kinetic + oscillator + float(quantum_potential(pair, q_a, q_b))
+    oscillator = pair.k0**2 * (np.abs(q_a) ** 2 + np.abs(q_b) ** 2)
+    return [float(term) for term in (kinetic, oscillator, *_potential_terms(pair, q_a, q_b))]
 
 
 # Rows of the shifted evaluations: the point itself, t +- h_t and x +- h_x e_j,
@@ -528,13 +551,13 @@ def _frame_consistency(pair, phi, x, t, volume, vacuum):
     b_floor = 2.0 * pair.k0 * (pair.amp_a + pair.amp_b) / rv
 
     e_fd = -(a[1] - a[2]) / (2.0 * h_t)
-    e_scale = max(float(np.linalg.norm(e_field)), e_floor, 1e-30)
+    e_scale = max(float(np.linalg.norm(e_field)), e_floor)
     e_err = float(np.linalg.norm(e_fd - e_field)) / e_scale
 
     # partial[j, k] = dA_k/dx_j; curl_i = partial[j, k] - partial[k, j] for cyclic (i, j, k).
     partial = (a[3:6] - a[6:9]) / (2.0 * h_x)
     curl = partial[[1, 2, 0], [2, 0, 1]] - partial[[2, 0, 1], [1, 2, 0]]
-    b_scale = max(float(np.linalg.norm(b_field)), b_floor, 1e-30)
+    b_scale = max(float(np.linalg.norm(b_field)), b_floor)
     b_err = float(np.linalg.norm(curl - b_field)) / b_scale
     return e_err, b_err
 

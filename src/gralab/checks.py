@@ -54,13 +54,20 @@ def region1(pair, volume, vacuum) -> list[Check]:
     departure from 3 k0 over the cycle.  The spread of the sampled energies
     would miss a wrong quantum potential: |q_a - i q_b| and |q_a|^2 + |q_b|^2
     are constant on every orbit, so any Q built from them is conserved.
+    The departure is the exact sum of the energy terms less 3 k0, relative
+    to the kinetic term: it tests kinetic = 1 / (2 |w|^2), which beside
+    3 k0 or k0^2 rho^2 would fall below the bound from amp ~ 3e5.
     """
     period = 2.0 * math.pi / max(beables.mode_frequencies(pair))
     times = (0.0, 0.3 * period, 0.6 * period)
     residual = np.max([beables.wave_equation_residual(pair, t) for t in times])
-    energies = [beables.total_energy(pair, t) for t in np.linspace(0.0, period, 5)]
+    energies = [beables._energy_terms(pair, t) for t in np.linspace(0.0, period, 5)]
     conserved = 3.0 * pair.k0
-    drift = np.max(np.abs(np.subtract(energies, conserved))) / conserved
+    # fsum refuses inf - inf, so an overflowed term makes a NaN drift, which fails.
+    drift = np.max([
+        abs(math.fsum([*terms, -conserved])) / terms[0] if np.isfinite(terms).all() else math.nan
+        for terms in energies
+    ])
     return [
         _below("wave-equation residual", residual, 1e-12),
         *frames(pair, None, 0.4 * period, volume, vacuum),

@@ -61,25 +61,14 @@ def _describe_state(state) -> str:
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.11e}"
-    return str(value)
+    # numpy's float64 is a float, so it takes the float branch too.
+    return f"{value:.11e}" if isinstance(value, float) else str(value)
 
 
 def _write_table(fh, fmt: str, header: list[str], rows) -> None:
     """Write a table as CSV, row by row, or as a JSON object of columns and rows."""
     if fmt == "json":
-        payload = {
-            "columns": header,
-            "rows": [
-                [v.item() if isinstance(v, np.generic) else v for v in row] for row in rows
-            ],
-        }
-        fh.write(json.dumps(payload, indent=2) + "\n")
+        fh.write(json.dumps({"columns": header, "rows": rows}, indent=2) + "\n")
         return
     writer = csv.writer(fh)
     writer.writerow(header)
@@ -169,7 +158,7 @@ def cmd_g2(args) -> Run:
         value = fock.g2(state, bs)
         row = [_describe_state(state), value]
         if args.oracle:
-            n_max, _, tail = fock.photon_weights(state, args.n_max)
+            n_max, _, tail = fock.photon_weights(state)
             check = fock.oracle_g2(state, bs, n_max=n_max)
             row += [check, abs(check - value)]
             oracle_runs.append({"state": row[0], "n_max": n_max, "tail": tail})
@@ -178,7 +167,6 @@ def cmd_g2(args) -> Run:
         "states": [_describe_state(s) for s in args.states],
         "transmittance": args.t2,
         "oracle": bool(args.oracle),
-        "n_max": args.n_max,
     }
     lines = ["  ".join(_format_cell(v) for v in row) for row in rows]
     counters = {"oracle": oracle_runs} if args.oracle else None
@@ -455,7 +443,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("states", type=_state_spec, nargs="+", metavar="KIND:VALUE")
     p.add_argument("--t2", type=float, default=0.5, help="splitter transmittance t^2")
     p.add_argument("--oracle", action="store_true", help="cross-check against the Fock oracle")
-    p.add_argument("--n-max", type=_int_at_least(1), default=None, help="oracle cutoff override")
     p.set_defaults(func=cmd_g2)
 
     p = sub.add_parser("classical", help="gate-averaged semiclassical intensity model")

@@ -238,7 +238,7 @@ def photon_weights(state: InputState, n_max: int | None = None) -> tuple[int, np
     Raises TruncationError when the cutoff exceeds MAX_CUTOFF, cannot hold
     a number state, or leaves a tail above LEAKAGE_TOL.
     """
-    source = "n_max (--n-max)"
+    source = "n_max"
     if n_max is None:
         n_max = default_cutoff(state)
         source = "the number state" if isinstance(state, NumberState) else "default_cutoff"

@@ -846,7 +846,8 @@ def test_region1_quantum_potential_closed_form(k0, q_a, q_b):
     # differencing the reference itself is limited by its rounding noise to
     # about 1e-5.
     h = 1e-6
-    grad = beables._quantum_gradient(pair, q_a, q_b)
+    oscillator, pull = beables._quantum_gradient(pair, q_a, q_b)
+    grad = [o + p for o, p in zip(oscillator, pull)]
     for idx, g in enumerate(grad):
         def at(delta):
             q = [q_a, q_b]
@@ -916,24 +917,87 @@ def test_energy_and_residual_exact_off_manifold(amps, phases, k0, t):
     assert wave_equation_residual(pair, t) < 1e-12
 
 
+# The unmutated functions, for the mutants below to call.
+_potential_terms, _quantum_gradient, _mode_set = (
+    beables._potential_terms, beables._quantum_gradient, beables._mode_set
+)
+
+
 def _flipped_sign(pair, q_a, q_b):
     # +1 / (2 |w|^2) in place of -1 / (2 |w|^2)
-    return quantum_potential(pair, q_a, q_b) + 1.0 / abs(q_a - 1j * q_b) ** 2
+    constant, oscillator, pull = _potential_terms(pair, q_a, q_b)
+    return constant, oscillator, -pull
 
 
 def _no_oscillator(pair, q_a, q_b):
-    return quantum_potential(pair, q_a, q_b) + pair.k0**2 * (abs(q_a) ** 2 + abs(q_b) ** 2)
+    constant, _, pull = _potential_terms(pair, q_a, q_b)
+    return constant, 0.0, pull
+
+
+def _doubled_pull(pair, q_a, q_b):
+    # -1 / |w|^2 in place of -1 / (2 |w|^2)
+    constant, oscillator, pull = _potential_terms(pair, q_a, q_b)
+    return constant, oscillator, 2.0 * pull
+
+
+def _flipped_gradient_pull(pair, q_a, q_b):
+    oscillator, (pull_a, pull_b) = _quantum_gradient(pair, q_a, q_b)
+    return oscillator, (-pull_a, -pull_b)
+
+
+def _flipped_electric_block(pair, weights, volume, vacuum):
+    waves, rates, phases, block, bias = _mode_set(pair, weights, volume, vacuum)
+    block[:, beables._E] *= -1.0
+    return waves, rates, phases, block, bias
 
 
 @pytest.mark.parametrize("mutation", [_flipped_sign, _no_oscillator], ids=["flipped-sign", "no-oscillator"])
 @pytest.mark.parametrize("pair", [RIGID, TILTED], ids=["rigid", "offset"])
 def test_energy_drift_check_catches_a_wrong_quantum_potential(monkeypatch, mutation, pair):
-    # total_energy reaches quantum_potential through the module, so the
-    # region-I checks see the mutated one.  Both mutations are conserved
-    # along every orbit (|w| and rho^2 are), so only a drift measured from
-    # 3 k0 catches them.
+    # The energy terms reach Q's terms through the module, so the region-I
+    # checks see the mutated ones.  Both mutations are conserved along
+    # every orbit (|w| and rho^2 are), so only a drift measured from 3 k0
+    # catches them.
     assert all(record.passed for record in checks.region1(pair, 1.0, None))
-    monkeypatch.setattr("gralab.beables.quantum_potential", mutation)
+    monkeypatch.setattr("gralab.beables._potential_terms", mutation)
     records = {record.label: record for record in checks.region1(pair, 1.0, None)}
     assert not records["energy drift over a cycle"].passed
     assert records["energy drift over a cycle"].value > 1e-2
+
+
+def _region1_pairs(amp):
+    """Fresh pairs, so no mode set memoised before a mutation is reused:
+    rigid, offset at equal amplitudes, and offset at unequal ones."""
+    return [
+        ModePair.single_frequency(amp),
+        ModePair(amp_a=amp, amp_b=amp),
+        ModePair(amp_a=amp, amp_b=2.0 * amp, phase_a=0.3, phase_b=1.1),
+    ]
+
+
+@pytest.mark.parametrize("amp", [1.0, 1e3, 1e8, 1e30, 1e150])
+def test_region1_checks_pass_at_every_amplitude(amp):
+    # The energy drift used to fail from amp 1e8: 3 k0 was lost beside k0^2 rho^2.
+    for pair in _region1_pairs(amp):
+        assert all(record.passed for record in checks.region1(pair, 1.0, None))
+
+
+@pytest.mark.parametrize(
+    "name,mutation,label,amps",
+    [
+        # From amp ~ 1e106 the pull underflows far below the smallest normal
+        # float, and no residual can see it.
+        ("_quantum_gradient", _flipped_gradient_pull, "wave-equation residual", [1.0, 1e3, 1e8, 1e30, 1e100]),
+        ("_potential_terms", _doubled_pull, "energy drift over a cycle", [1.0, 1e3, 1e8, 1e30, 1e150]),
+        ("_mode_set", _flipped_electric_block, "E vs -(1/c) dA/dt", [1.0, 1e8, 1e31, 1e40, 1e150]),
+    ],
+    ids=["pull-sign", "doubled-pull", "electric-block-sign"],
+)
+def test_region1_checks_keep_their_power_at_every_amplitude(monkeypatch, name, mutation, label, amps):
+    # Each check used to pass its mutant from some amplitude on: the
+    # residual from amp 1e3, the energy drift from 3e5 and E from 1e30.
+    monkeypatch.setattr(f"gralab.beables.{name}", mutation)
+    for amp in amps:
+        for pair in _region1_pairs(amp):
+            record = next(r for r in checks.region1(pair, 1.0, None) if r.label == label)
+            assert not record.passed, (amp, pair)

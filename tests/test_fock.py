@@ -224,7 +224,7 @@ def test_number_state_above_cutoff():
     "state,n_max,cutoff,source",
     [
         (NumberState(MAX_CUTOFF + 1), None, MAX_CUTOFF + 1, "the number state"),
-        (NumberState(3), MAX_CUTOFF + 1, MAX_CUTOFF + 1, "n_max (--n-max)"),
+        (NumberState(3), MAX_CUTOFF + 1, MAX_CUTOFF + 1, "n_max"),
         (ChaoticState(0.999), None, 27_623, "default_cutoff"),
     ],
     ids=["number-state", "n-max", "default-cutoff"],
