@@ -87,10 +87,11 @@ class ModePair:
         if not (0.0 < self.amp_a < math.inf and 0.0 < self.amp_b < math.inf):
             raise ValueError("mode amplitudes must be positive and finite")
         for amp in (self.amp_a, self.amp_b):
-            # amp^2, the frequency 1 / (4 amp^2) and the period 8 pi amp^2.
+            # amp^2, the period 8 pi amp^2, the frequency 1 / (4 amp^2) and
+            # the rigid orbit's acceleration 1 / (16 amp^3).
             square = amp * amp
-            if not (0.0 < square and 8.0 * math.pi * square < math.inf and 1.0 / square < math.inf):
-                raise ValueError(f"mode amplitude {amp:g} leaves amp^2, 1/amp^2 or the period non-finite")
+            if not (0.0 < square and 8.0 * math.pi * square < math.inf and 1.0 / square / amp < math.inf):
+                raise ValueError(f"mode amplitude {amp:g} leaves amp^2, 1/amp^3 or the period non-finite")
         if not (math.isfinite(self.phase_a) and math.isfinite(self.phase_b)):
             raise ValueError("mode phases must be finite")
         for name, default in (("k_a", _XHAT), ("k_b", _YHAT), ("pol_a", _ZHAT), ("pol_b", _ZHAT)):
@@ -115,7 +116,11 @@ class ModePair:
                 raise ValueError("polarizations must be unit vectors")
             if abs(float(np.dot(pol, k))) > 1e-9 * ka:
                 raise ValueError("polarizations must be transverse to their wave vectors")
-        object.__setattr__(self, "_k0", float(ka))
+        k0, amp = float(ka), max(self.amp_a, self.amp_b)
+        # rho^2 = amp_a^2 + amp_b^2 on every orbit, so this is the oscillator energy.
+        if not k0 * k0 * (self.amp_a * self.amp_a + self.amp_b * self.amp_b) < math.inf:
+            raise ValueError(f"mode amplitude {amp:g} at beam wavenumber {k0:g} overflows k0^2 rho^2")
+        object.__setattr__(self, "_k0", k0)
         object.__setattr__(self, "_memo", (None, None, None))
 
     @property
@@ -185,11 +190,10 @@ def region1_equations_of_motion(q_a: complex, q_b: complex) -> tuple[complex, co
     Both coordinates are driven by the shared denominator q_a - i q_b:
     dq_a*/dt = (i / 2) / (q_a - i q_b) and dq_b*/dt the same
     without the i.  Raises SingularDenominator on the ray where the
-    denominator vanishes.
+    denominator vanishes, to 1e-12 of the larger coordinate's modulus.
     """
     denom = q_a - 1j * q_b
-    scale = max(1.0, abs(q_a), abs(q_b))
-    if abs(denom) < 1e-12 * scale:
+    if abs(denom) <= 1e-12 * max(abs(q_a), abs(q_b)):
         raise SingularDenominator("q_a - i q_b vanished")
     common = 0.5 / denom
     return 1j * common, common
@@ -198,14 +202,13 @@ def region1_equations_of_motion(q_a: complex, q_b: complex) -> tuple[complex, co
 def _start(pair: ModePair):
     """Starting q_a* and q_b*, their combination w0 = q_a* + i q_b*, and the
     frequency 1 / |w0|^2 at which w0 turns.  Raises SingularDenominator
-    when w0 vanishes, where the equations of motion are undefined."""
+    where region1_equations_of_motion would, as the motion is undefined."""
     a0 = pair.amp_a * np.exp(1j * pair.phase_a)
     b0 = pair.amp_b * np.exp(1j * pair.phase_b)
     w0 = a0 + 1j * b0
-    h2 = abs(w0) ** 2
-    if h2 < 1e-24:
+    if abs(w0) <= 1e-12 * max(pair.amp_a, pair.amp_b):
         raise SingularDenominator("q_a - i q_b vanishes at the start")
-    return a0, b0, w0, 1.0 / h2
+    return a0, b0, w0, 1.0 / abs(w0) ** 2
 
 
 def analytic_region1(pair: ModePair, times):
@@ -234,14 +237,15 @@ def integrate_region1(pair: ModePair, t_end: float) -> ModeTrajectory:
     """Integrate the coupled equations of motion with fixed-step RK4.
 
     The step resolves the fastest of the mode frequencies and the
-    rigid-rotation frequency with a thousand steps per cycle.
+    rigid-rotation frequency with a thousand steps per cycle.  Every step
+    is kept, so a run of more than a million steps, a thousand cycles, is refused.
     """
     if not 0.0 <= t_end < math.inf:
         raise ValueError("end time must be nonnegative and finite")
     a0, b0, _, omega_turn = _start(pair)
     dt = 2.0 * math.pi / max(*mode_frequencies(pair), omega_turn) / 1000.0
-    if not t_end / dt < math.inf:
-        raise ValueError(f"end time {t_end:g} needs more RK4 steps of {dt:.3e} than a float counts")
+    if not t_end / dt <= 1e6:
+        raise ValueError(f"end time {t_end:g} needs more than a million RK4 steps of {dt:.3e}")
 
     def deriv(y_a: complex, y_b: complex) -> tuple[complex, complex]:
         return region1_equations_of_motion(y_a.conjugate(), y_b.conjugate())
@@ -323,13 +327,16 @@ class BeableFrame:
     intensity: np.ndarray
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below, by name
 def _mode_set(pair, weights, volume, vacuum):
     """(waves, rates, phases, block, bias) of the doubled beams, the beams at
     weights (w_a, w_b) and the static background u = 2 Re(q e^(i k.x)) pol,
     v = curl u: with theta = x @ waves - t rates - phases, the fields are
     concat(cos theta, sin theta past the doubled beams) @ block + bias."""
     flux, w = _flux(volume), np.array(weights)[:, None]
-    amp, phase = np.array([[pair.amp_a], [pair.amp_b]]), np.array([pair.phase_a, pair.phase_b])
+    # Phases in [0, 2 pi), so that theta keeps the digits of a 1e-5 rad step.
+    phase = np.remainder([pair.phase_a, pair.phase_b], 2.0 * math.pi)
+    amp = np.array([[pair.amp_a], [pair.amp_b]])
     k, pol = np.stack([pair.k_a, pair.k_b]), np.stack([pair.pol_a, pair.pol_b])
     rate = w[:, 0] / (4.0 * amp[:, 0] ** 2)
     m, width = (0, 12) if vacuum is None else (len(vacuum.coords), 16)
@@ -352,6 +359,10 @@ def _mode_set(pair, weights, volume, vacuum):
     block = np.concatenate((cos, sin))
     block[:, _I] *= flux  # and A, E, B below carry 1 / sqrt(V)
     block[:, :9] *= math.sqrt(flux)
+    # A field is at most its column's sum; a norm sums 3 squares, the cross term is a product.
+    peak = float(np.abs(block).sum(axis=0).max() + np.abs(bias).max())
+    if not 3.0 * peak * peak < math.inf:
+        raise ValueError(f"quantization volume {volume:g} overflows the fields at k0 {pair.k0:g}")
     return np.concatenate(waves).T.copy(), np.concatenate(rates), np.concatenate(phases), block, bias
 
 
@@ -412,6 +423,8 @@ def beam_intensity_curves(pair: ModePair, phis, volume: float = 1.0) -> tuple[np
     the recombined beams c and d, across a phase sweep."""
     cos = np.cos(np.asarray(phis, dtype=float))
     scale = _flux(volume) / 2.0 * pair.k0
+    if not 4.0 * scale < math.inf:  # i_c + i_d and a visibility's max + min
+        raise ValueError(f"quantization volume {volume:g} overflows the intensity at k0 {pair.k0:g}")
     return scale * (1.0 + cos), scale * (1.0 - cos)
 
 
@@ -440,7 +453,7 @@ def _guiding(q_a, q_b):
     region1_equations_of_motion does."""
     q_a, q_b = np.asarray(q_a, dtype=complex), np.asarray(q_b, dtype=complex)
     w = q_a - 1j * q_b
-    if (np.abs(w) < 1e-12 * np.maximum(1.0, np.maximum(np.abs(q_a), np.abs(q_b)))).any():
+    if (np.abs(w) <= 1e-12 * np.maximum(np.abs(q_a), np.abs(q_b))).any():
         raise SingularDenominator("q_a - i q_b vanished")
     return q_a, q_b, w
 

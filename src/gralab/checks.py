@@ -32,17 +32,20 @@ def _below(label: str, value: float, bound: float) -> Check:
     return Check(label, float(value), float(bound), bool(value < bound))
 
 
-_PROBE_X = (0.3, 0.2, 0.1)
-# Recombined-region probe time; the divided region probes at 0.4 of a period.
-RECOMBINED_T = 0.7
+# The probe point, in units of 1 / k0 so that its beam phase k0 x stays O(1).
+_PROBE_X = np.array([0.3, 0.2, 0.1])
 
 
-def frames(pair, phi, t, volume, vacuum) -> list[Check]:
-    """E = -(1/c) dA/dt and B = curl A at the probe point; phi None is region I."""
+def frames(pair, phi, volume, vacuum) -> list[Check]:
+    """E = -(1/c) dA/dt and B = curl A at the probe point, at 0.4 of the
+    fastest period in the divided region (phi None) and at t = 0.7 in the
+    recombined one."""
+    x = _PROBE_X / pair.k0
     if phi is None:
-        e_err, b_err = beables.frame_consistency_region1(pair, _PROBE_X, t, volume, vacuum)
+        period = 2.0 * math.pi / max(beables.mode_frequencies(pair))
+        e_err, b_err = beables.frame_consistency_region1(pair, x, 0.4 * period, volume, vacuum)
     else:
-        e_err, b_err = beables.frame_consistency_region2(pair, phi, _PROBE_X, t, volume, vacuum)
+        e_err, b_err = beables.frame_consistency_region2(pair, phi, x, 0.7, volume, vacuum)
     return [_below("E vs -(1/c) dA/dt", e_err, 1e-6), _below("B vs curl A", b_err, 1e-6)]
 
 
@@ -70,7 +73,7 @@ def region1(pair, volume, vacuum) -> list[Check]:
     ])
     return [
         _below("wave-equation residual", residual, 1e-12),
-        *frames(pair, None, 0.4 * period, volume, vacuum),
+        *frames(pair, None, volume, vacuum),
         _below("energy drift over a cycle", drift, 1e-12),
     ]
 

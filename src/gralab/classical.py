@@ -10,7 +10,7 @@ on a real source therefore rule out this entire model family.
 from __future__ import annotations
 
 import math
-import warnings
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +27,7 @@ class GateIntensityEnsemble:
     alpha_t and alpha_r are the products of gain, collection, and quantum
     efficiency for the transmitted and reflected detectors.  Probabilities
     are first-order in intensity, so large intensities can drive them past
-    one; that is reported through the admissible flag (with a warning), not
+    one; that is reported through the admissible flag alone, not
     an error, since the ratio itself stays meaningful.
     """
 
@@ -53,6 +53,8 @@ class GateIntensityEnsemble:
             )
         if not np.any(self.intensities > 0.0):
             raise ZeroMeanIntensity("every gate in the ensemble is dark")
+        if not float(np.mean(self.intensities)) ** 2 >= sys.float_info.min:
+            raise ValueError(f"intensity scale underflows the squared mean <i>^2 over {n} gates")
         if not 0.0 < self.gate_duration < math.inf:
             raise ValueError("gate duration must be positive and finite")
         if not (0.0 <= self.alpha_t < math.inf and 0.0 <= self.alpha_r < math.inf):
@@ -63,13 +65,7 @@ class GateIntensityEnsemble:
                 f"count probabilities overflow at gate duration {self.gate_duration:g} "
                 f"and detector coefficients {self.alpha_t:g}, {self.alpha_r:g}"
             )
-        if max(probs) > 1.0:
-            self.admissible = False
-            warnings.warn(
-                "first-order count probabilities exceed 1; reduce intensity "
-                "or detector coefficients for a physical counting model",
-                stacklevel=2,
-            )
+        self.admissible = bool(max(probs) <= 1.0)
 
 
 def singles_probabilities(ensemble: GateIntensityEnsemble) -> tuple[float, float]:

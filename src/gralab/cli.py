@@ -175,7 +175,7 @@ def cmd_g2(args) -> Run:
 
 def cmd_classical(args) -> Run:
     rng = np.random.Generator(np.random.PCG64(args.seed))
-    scale = args.scale
+    scale = args.scale + 0.0  # -0.0 would reach numpy's uniform as high < low
     # NaN fails the comparison; numpy's samplers would raise their own errors.
     if not 0.0 <= scale < math.inf:
         raise ValueError("intensity scale must be nonnegative and finite")
@@ -276,18 +276,6 @@ def cmd_cascade(args) -> Run:
     return Run(config, tables=tables, plots=plots, lines=lines, counters=counters)
 
 
-def _beables_pair(args) -> beables.ModePair:
-    pair = beables.ModePair.single_frequency(args.amp, phase_b=args.phase_b or 0.0, k0=args.k0)
-    if args.amp_b is None and args.phase_a is None:
-        return pair
-    # Off the manifold: the same beams with their own amplitude and phase.
-    return replace(
-        pair,
-        amp_b=args.amp if args.amp_b is None else args.amp_b,
-        phase_a=0.0 if args.phase_a is None else args.phase_a,
-    )
-
-
 # Arc length, then the x, y, z components of A, E, B and the intensity I.
 _FIELD_HEADER = ["s", *(f"{name}_{axis}" for name in "aebi" for axis in "xyz")]
 
@@ -304,7 +292,11 @@ def _report(results: list[checks.Check]) -> list[str]:
 def cmd_beables(args) -> Run:
     if args.sweep and args.region == 1:
         raise ValueError("--sweep is the region-2 phase sweep and needs --region 2")
-    pair = _beables_pair(args)
+    pair = beables.ModePair.single_frequency(args.amp, phase_b=args.phase_b, k0=args.k0)
+    # The divided region is phi None, as in gralab.beables and gralab.checks.
+    phi = None if args.region == 1 else args.phi
+    if not (phi is None or math.isfinite(phi)):  # a sweep reads no phase, but records it
+        raise ValueError("interferometer phase must be finite")
     vacuum = None
     if args.vacuum > 0:
         rng = np.random.Generator(np.random.PCG64(args.seed))
@@ -318,18 +310,11 @@ def cmd_beables(args) -> Run:
         raw = np.cross(k_vectors, np.array([0.0, 0.0, 1.0]))
         pols = raw / np.linalg.norm(raw, axis=1, keepdims=True)
         vacuum = beables.VacuumModes.sample_ground_state(k_vectors, pols, rng)
-    config = {
-        "region": args.region,
-        "amp_a": pair.amp_a,
-        "amp_b": pair.amp_b,
-        "k0": pair.k0,
-        "volume": args.volume,
-        "samples": args.samples,
-        "vacuum_modes": args.vacuum,
-        "check": bool(args.check),
-    }
+    config = {"region": args.region, "amp_a": pair.amp_a, "amp_b": pair.amp_b, "k0": pair.k0,
+              "volume": args.volume, "samples": args.samples, "vacuum_modes": args.vacuum,
+              "check": bool(args.check)}
     run = Run(config)
-    if args.region == 1:
+    if phi is None:
         config.update(phase_a=pair.phase_a, phase_b=pair.phase_b, periods=args.periods)
         omega = max(beables.mode_frequencies(pair))
         trajectory = beables.integrate_region1(pair, args.periods * 2.0 * math.pi / omega)
@@ -339,9 +324,9 @@ def cmd_beables(args) -> Run:
         ]
         run.tables.append(("trajectory", ["t", "re_q_a", "im_q_a", "re_q_b", "im_q_b"], rows))
     else:
-        config.update(phi=args.phi, sweep=bool(args.sweep))
+        config.update(phi=phi, sweep=bool(args.sweep))
 
-    if args.region == 2 and args.sweep:
+    if args.sweep:
         phis = np.linspace(0.0, 2.0 * math.pi, 72, endpoint=False)
         i_c, i_d = beables.beam_intensity_curves(pair, phis, args.volume)
         run.tables.append(("visibility", ["phi", "i_c", "i_d"], list(zip(phis, i_c, i_d))))
@@ -351,9 +336,7 @@ def cmd_beables(args) -> Run:
         ]
         plot = dict(title="Averaged output intensities", xlabel="phi", ylabel="intensity")
         run.plots.append(("visibility", series, plot))
-        run.lines.append(
-            f"visibility c={beables.visibility(i_c):.12f} d={beables.visibility(i_d):.12f}"
-        )
+        run.lines.append(f"visibility c={beables.visibility(i_c):.12f} d={beables.visibility(i_d):.12f}")
         if args.check:
             run.checks = checks.fringes(i_c, i_d)
     else:
@@ -362,27 +345,26 @@ def cmd_beables(args) -> Run:
         direction = direction / np.linalg.norm(direction)
         s = np.linspace(0.0, 4.0 * math.pi / pair.k0, args.samples)
         points = s[:, None] * direction
-        if args.region == 1:
+        if phi is None:
             frame = beables.beables_region1(pair, points, 0.0, args.volume, vacuum)
         else:
-            frame = beables.beables_region2(pair, args.phi, points, 0.0, args.volume, vacuum)
+            frame = beables.beables_region2(pair, phi, points, 0.0, args.volume, vacuum)
         columns = (frame.vector_potential, frame.electric_field, frame.magnetic_field, frame.intensity)
         field_rows = np.column_stack((s,) + columns).tolist()
         run.tables.append(("fields", _FIELD_HEADER, field_rows))
-        if args.region == 1:
+        if phi is None:
             series = [
                 svgplot.Series(x=list(s), y=[row[3] for row in field_rows], label="A_z"),
                 svgplot.Series(x=list(s), y=[row[6] for row in field_rows], label="E_z"),
-                svgplot.Series(
-                    x=list(s), y=[math.hypot(row[10], row[11]) for row in field_rows], label="|I|"
-                ),
+                svgplot.Series(x=list(s), y=[math.hypot(row[10], row[11]) for row in field_rows], label="|I|"),
             ]
             title = "Divided-region beables along the beam diagonal"
             run.plots.append(("fields", series, dict(title=title, xlabel="s", ylabel="field")))
-        if args.check and args.region == 1:
-            run.checks = checks.region1(pair, args.volume, vacuum)
-        elif args.check:
-            run.checks = checks.frames(pair, args.phi, checks.RECOMBINED_T, args.volume, vacuum)
+        if args.check:
+            run.checks = (
+                checks.region1(pair, args.volume, vacuum) if phi is None
+                else checks.frames(pair, phi, args.volume, vacuum)
+            )
 
     if run.checks is not None:
         run.lines += _report(run.checks)
@@ -474,9 +456,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--region", type=int, choices=(1, 2), default=1)
     p.add_argument("--phi", type=float, default=math.pi / 2.0, help="interferometer phase")
     p.add_argument("--amp", type=float, default=1.0, help="mode amplitude")
-    p.add_argument("--amp-b", type=float, default=None, help="second amplitude (off-manifold)")
-    p.add_argument("--phase-a", type=float, default=None, help="first phase (off-manifold)")
-    p.add_argument("--phase-b", type=float, default=None, help="second phase")
+    p.add_argument("--phase-b", type=float, default=0.0, help="second phase")
     p.add_argument("--k0", type=float, default=1.0, help="beam wavenumber")
     p.add_argument("--volume", type=float, default=1.0)
     p.add_argument("--periods", type=float, default=1.0, help="trajectory length in cycles")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -148,14 +149,15 @@ def g2(state: InputState, bs: BeamSplitter | None = None) -> float:
     A number state with a single photon gives exactly zero.
 
     Raises DegenerateState when either arm is dark (t = 0 or r = 0) or the
-    input carries no light.
+    input carries no light, or so little that <n_t><n_r> falls below the
+    smallest normal float, where it has lost its digits or reads 0.
     """
     if bs is None:
         bs = BeamSplitter()
     nt = expect_transmitted(state, bs)
     nr = expect_reflected(state, bs)
-    if nt == 0.0 or nr == 0.0:
-        raise DegenerateState("coincidence ratio undefined for a dark arm or empty input")
+    if not nt * nr >= sys.float_info.min:
+        raise DegenerateState(f"no coincidence ratio for {state} at t^2 {bs.t**2:g}: a dark arm or input")
     return expect_coincidence(state, bs) / (nt * nr)
 
 
@@ -296,6 +298,6 @@ def oracle_g2(state: InputState, bs: BeamSplitter | None = None, n_max: int | No
     if bs is None:
         bs = BeamSplitter()
     exp_t, exp_r, exp_c = oracle_moments(state, bs, n_max=n_max)
-    if exp_t <= 0.0 or exp_r <= 0.0:
-        raise DegenerateState("coincidence ratio undefined for a dark arm or empty input")
+    if not (min(exp_t, exp_r) > 0.0 and exp_t * exp_r >= sys.float_info.min):
+        raise DegenerateState(f"no coincidence ratio for {state} at t^2 {bs.t**2:g}: a dark arm or input")
     return exp_c / (exp_t * exp_r)

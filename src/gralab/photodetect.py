@@ -39,6 +39,8 @@ class DetectorAtomConfig:
         # Written so that NaN fails every comparison and is rejected.
         if not 0.0 < self.k0 < math.inf:
             raise ValueError("k0 must be positive and finite")
+        if not 4.0 * self.k0 * self.k0 < math.inf:  # (1 + k^2)^2 at the resonant k^2 = 2 k0 - 1
+            raise ValueError(f"k0 {self.k0:g} overflows the resonant form factor's (1 + k^2)^2")
         if not math.isfinite(self.phi):
             raise ValueError("interferometer phase must be finite")
 

@@ -81,6 +81,28 @@ def test_equations_of_motion_singular():
         region1_equations_of_motion(1.0, -1.0j)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-13, 1e-100, 1e100])
+def test_vanishing_denominator_is_relative_to_the_coordinates(scale):
+    # The equations of motion, Q and the start took the denominator
+    # q_a - i q_b to vanish below 1e-12 of max(1, |q|), or of 1 at the start,
+    # so amp 4e-13 was refused although |w| = 2 amp.  All three now measure
+    # it against the coordinates alone.
+    q_a, q_b = scale, 0.0
+    da, db = region1_equations_of_motion(q_a, q_b)
+    assert (da, db) == (0.5j / scale, 0.5 / scale)
+    assert np.isfinite(quantum_potential(RIGID, q_a, q_b))
+    near = scale * (1.0 + 1e-13j)
+    for call in (
+        lambda: region1_equations_of_motion(near, -1j * scale),
+        lambda: quantum_potential(RIGID, near, -1j * scale),
+        lambda: integrate_region1(ModePair(amp_a=scale, amp_b=scale, phase_a=-math.pi / 2.0), 0.0),
+    ):
+        with pytest.raises(SingularDenominator):
+            call()
+    start = integrate_region1(ModePair.single_frequency(scale), 0.0).q_a[0]
+    assert abs(start + 1j * scale) < 1e-15 * scale
+
+
 def test_mode_frequency_law():
     for amp in (0.5, 1.0, 2.0):
         pair = ModePair.single_frequency(amp)
@@ -112,12 +134,15 @@ def test_single_frequency_rejects_bad_wavenumber(k0):
         (1e200, 1.0, "mode amplitude 1e+200"),  # amp^2 overflows
         (1e-200, 1.0, "mode amplitude 1e-200"),  # amp^2 underflows to 0
         (5e153, 1.0, "mode amplitude 5e+153"),  # the period 8 pi amp^2 overflows
+        (1e-150, 1.0, "mode amplitude 1e-150"),  # the acceleration 1 / (16 amp^3) overflows
         (1.0, 1e300, "beam wavenumber: k_a overflows k0^2"),
+        (1e150, 1e100, "mode amplitude 1e+150 at beam wavenumber 1e+100"),  # k0^2 rho^2 overflows
     ],
 )
 def test_pair_rejects_overflowing_amplitude_or_wavenumber(amp, k0, named):
     # The first two used to end in OverflowError and ZeroDivisionError from
-    # mode_frequencies, the last in a NaN past validation.
+    # mode_frequencies, 1e-150 in the residual's overflow and the last two in
+    # a NaN past validation or numpy's overflow warning.
     with pytest.raises(ValueError, match=re.escape(named)):
         ModePair.single_frequency(amp, k0=k0)
 
@@ -149,6 +174,9 @@ def test_rk4_step_count_must_be_finite():
     # 2.5e307 / 0.025 steps used to end in OverflowError from math.ceil.
     with pytest.raises(ValueError, match="RK4 steps"):
         integrate_region1(ModePair.single_frequency(1.0), 2.5e307)
+    # Every step is kept, so `beables --periods 1e9` filled memory for hours.
+    with pytest.raises(ValueError, match="needs more than a million RK4 steps"):
+        integrate_region1(ModePair.single_frequency(1.0), 1001 * 8.0 * math.pi)
 
 
 NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -965,39 +993,44 @@ def test_energy_drift_check_catches_a_wrong_quantum_potential(monkeypatch, mutat
     assert records["energy drift over a cycle"].value > 1e-2
 
 
-def _region1_pairs(amp):
+def _region1_pairs(amp, k0=1.0):
     """Fresh pairs, so no mode set memoised before a mutation is reused:
     rigid, offset at equal amplitudes, and offset at unequal ones."""
+    beams = {"k_a": [k0, 0.0, 0.0], "k_b": [0.0, k0, 0.0]}
     return [
-        ModePair.single_frequency(amp),
-        ModePair(amp_a=amp, amp_b=amp),
-        ModePair(amp_a=amp, amp_b=2.0 * amp, phase_a=0.3, phase_b=1.1),
+        ModePair.single_frequency(amp, k0=k0),
+        ModePair(amp_a=amp, amp_b=amp, **beams),
+        ModePair(amp_a=amp, amp_b=2.0 * amp, phase_a=0.3, phase_b=1.1, **beams),
     ]
 
 
 @pytest.mark.parametrize("amp", [1.0, 1e3, 1e8, 1e30, 1e150])
 def test_region1_checks_pass_at_every_amplitude(amp):
-    # The energy drift used to fail from amp 1e8: 3 k0 was lost beside k0^2 rho^2.
-    for pair in _region1_pairs(amp):
+    # The energy drift used to fail from amp 1e8: 3 k0 was lost beside k0^2
+    # rho^2.  The frames failed at k0 1e8, probed at a point k0 x ~ 1e7;
+    # there a pair refuses amp 1e150, whose k0^2 rho^2 overflows.
+    for pair in [*_region1_pairs(amp), *(_region1_pairs(amp, k0=1e8) if amp < 1e150 else [])]:
         assert all(record.passed for record in checks.region1(pair, 1.0, None))
 
 
 @pytest.mark.parametrize(
-    "name,mutation,label,amps",
+    "name,mutation,label,amps,large_k0_amps",
     [
         # From amp ~ 1e106 the pull underflows far below the smallest normal
         # float, and no residual can see it.
-        ("_quantum_gradient", _flipped_gradient_pull, "wave-equation residual", [1.0, 1e3, 1e8, 1e30, 1e100]),
-        ("_potential_terms", _doubled_pull, "energy drift over a cycle", [1.0, 1e3, 1e8, 1e30, 1e150]),
-        ("_mode_set", _flipped_electric_block, "E vs -(1/c) dA/dt", [1.0, 1e8, 1e31, 1e40, 1e150]),
+        ("_quantum_gradient", _flipped_gradient_pull, "wave-equation residual", [1.0, 1e3, 1e8, 1e30, 1e100], []),
+        ("_potential_terms", _doubled_pull, "energy drift over a cycle", [1.0, 1e3, 1e8, 1e30, 1e150], []),
+        ("_mode_set", _flipped_electric_block, "E vs -(1/c) dA/dt", [1.0, 1e8, 1e31, 1e40, 1e150], [1.0, 1e8, 1e40]),
     ],
     ids=["pull-sign", "doubled-pull", "electric-block-sign"],
 )
-def test_region1_checks_keep_their_power_at_every_amplitude(monkeypatch, name, mutation, label, amps):
+def test_region1_checks_keep_their_power_at_every_amplitude(monkeypatch, name, mutation, label, amps, large_k0_amps):
     # Each check used to pass its mutant from some amplitude on: the
     # residual from amp 1e3, the energy drift from 3e5 and E from 1e30.
+    # large_k0_amps run at k0 1e8 as well, where the probe now stays at
+    # k0 x ~ 1 and E is checked where it did not pass on correct code.
     monkeypatch.setattr(f"gralab.beables.{name}", mutation)
-    for amp in amps:
-        for pair in _region1_pairs(amp):
+    for amp, k0 in [*((amp, 1.0) for amp in amps), *((amp, 1e8) for amp in large_k0_amps)]:
+        for pair in _region1_pairs(amp, k0):
             record = next(r for r in checks.region1(pair, 1.0, None) if r.label == label)
             assert not record.passed, (amp, pair)

@@ -72,10 +72,13 @@ def test_exponential_intensity_close_to_two():
     assert np.abs(classical_alpha(ens) - 2.0) < 0.15
 
 
-def test_inadmissible_probabilities_warn():
-    with pytest.warns(UserWarning):
+def test_inadmissible_probabilities_are_flagged_without_a_warning():
+    # The flag is the one report: a UserWarning as well ended
+    # `python -W error -m gralab.cli classical --scale 100` in a traceback.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         ens = _ensemble(np.array([50.0, 150.0]), gate=1.0, eff_t=0.5, eff_r=0.5)
-    assert not ens.admissible
+    assert ens.admissible is False
     assert classical_alpha(ens) >= 1.0
 
 

@@ -6,11 +6,15 @@ import json
 import math
 import re
 import shlex
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gralab import checks, photodetect
 from gralab.beables import ModePair, beables_region1
@@ -139,6 +143,16 @@ def test_classical_constant_law(tmp_path, capsys):
     assert np.abs(float(rows[0][-2]) - 1.0) < 1e-12
     assert rows[0][-1] == "True"
     assert "alpha=" in capsys.readouterr().out
+
+
+def test_classical_inadmissible_run_is_reported_in_its_table(tmp_path, capsys):
+    # Probabilities past 1 are reported by the admissible column and the
+    # stdout line alone; the UserWarning that also came ended the run under
+    # -W error, as filterwarnings = error would here.
+    assert main(["--out-dir", str(tmp_path), "classical", "--scale", "100"]) == 0
+    header, rows = _read_csv(tmp_path / "classical.csv")
+    assert header[-1] == "admissible" and rows[0][-1] == "False"
+    assert capsys.readouterr().out.splitlines()[-1].endswith(" admissible=False")
 
 
 @pytest.mark.parametrize("scale", ["nan", "inf", "-1"])
@@ -368,6 +382,13 @@ def test_cascade_config_integer_past_float_range_is_named(tmp_path, capsys):
         ("beables --region 1 --amp 1e200", "mode amplitude 1e+200"),
         ("beables --region 1 --amp 1e-200", "mode amplitude 1e-200"),
         ("beables --region 1 --k0 1e300 --check", "beam wavenumber"),
+        ("beables --region 1 --amp 1e150 --k0 1e100 --check", "mode amplitude 1e+150 at beam wavenumber 1e+100"),
+        ("beables --region 1 --amp 1e-150 --check", "mode amplitude 1e-150"),
+        ("beables --region 1 --volume 1e-320", "quantization volume 9.99989e-321 overflows the fields"),
+        ("beables --region 2 --k0 1e10 --volume 1e-300 --sweep", "quantization volume 1e-300 overflows the intensity"),
+        ("photodetect --k0 1e300", "k0 1e+300 overflows the resonant form factor"),
+        ("classical --scale 1e-300", "intensity scale underflows the squared mean"),
+        ("g2 coherent:1e-150", "CoherentState(alpha=(1e-150+0j))"),
         ("photodetect --time 1e300", "exposure time 1e+300"),
         ("photodetect --k-max 1e100", "--k-max 1e+100"),
         ("photodetect --k-max 1e300", "--k-max 1e+300"),
@@ -377,6 +398,10 @@ def test_cascade_config_integer_past_float_range_is_named(tmp_path, capsys):
 def test_extreme_finite_input_is_named(tmp_path, capsys, line, named):
     # Each used to end in a traceback, a NaN message after a partial output
     # directory, numpy's overflow warning, or (the oracle) the memory limit.
+    # k0^2 rho^2 overflowed in the energy terms at amp 1e150 and k0 1e100,
+    # the orbit's acceleration 1 / (16 amp^3) in the residual at 1e-150, and
+    # 1/V, k0 / V, the form factor at k0 1e300 and <i>^2 or <n_t><n_r> (a
+    # ZeroDivisionError) below them.
     out_dir = tmp_path / "out"
     assert main(["--out-dir", str(out_dir), *line.split()]) == 1
     err = capsys.readouterr().err
@@ -437,15 +462,25 @@ def test_beables_region1_with_checks(tmp_path, capsys):
     "line",
     [
         "--region 1 --k0 1000",
+        "--region 1 --k0 1e8",
+        "--region 1 --k0 1e12",
+        "--region 2 --phi 1.0 --k0 1e8",
         "--region 1 --amp 0.01",
         "--region 1 --amp 0.001",
+        "--region 1 --amp 4e-13",
+        "--region 1 --amp 1e-100",
+        "--region 1 --phase-b 1e8",
+        "--region 2 --phi 1.0 --phase-b 1e300",
         "--region 2 --phi 1.0 --amp 0.01",
     ],
 )
 def test_beables_checks_pass_at_large_wavenumber_and_fast_rotation(tmp_path, capsys, line):
     # Fixed central-difference steps failed these frames: B vs curl A read
     # 5.9e-6 at k0 1000, E vs -dA/dt 7.2e-6, 5.2e-2 and 1.8e-4 at the small
-    # amplitudes, whose frequency 1 / (4 amp^2) is large.
+    # amplitudes, whose frequency 1 / (4 amp^2) is large.  A probe at a fixed
+    # point failed k0 1e8 (E 1.5e-5, B 1.2e-4) and 1e12 (0.44, 0.25); it now
+    # sits at (0.3, 0.2, 0.1) / k0.  An absolute floor on q_a - i q_b
+    # refused amp 4e-13 as a vanishing denominator.
     assert main(["--out-dir", str(tmp_path), "beables", *line.split(), "--check", "--samples", "9"]) == 0
     out = capsys.readouterr().out
     assert "[ok] E vs -(1/c) dA/dt" in out and "[ok] B vs curl A" in out
@@ -532,20 +567,28 @@ def test_beables_nonfinite_phase_exits_one(tmp_path, capsys, phi):
 
 
 @pytest.mark.parametrize("k0", ["nan", "inf", "0", "-1"])
-@pytest.mark.parametrize("extra", [[], ["--amp-b", "0.8"], ["--region", "2", "--sweep"]])
+@pytest.mark.parametrize("extra", [[], ["--region", "2"], ["--region", "2", "--sweep"]])
 def test_beables_bad_wavenumber_exits_one(tmp_path, capsys, k0, extra):
-    # On and off the single-frequency manifold, and for the sweep.
+    # In both regions' field maps, and for the sweep.
     assert main(["--out-dir", str(tmp_path), "beables", f"--k0={k0}"] + extra) == 1
     assert "error: beam wavenumber must be positive and finite" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
-def test_beables_off_manifold_pair(tmp_path):
-    argv = ["beables", "--amp-b", "0.8", "--phase-b", "0.3", "--k0", "2", "--samples", "5"]
+def test_beables_pair_is_on_the_rigid_manifold(tmp_path, capsys):
+    # The frames follow the integrated orbit only on the rigid manifold, so
+    # the command builds no other pair: --amp-b and --phase-a are gone.
+    argv = ["beables", "--amp", "0.8", "--phase-b", "0.3", "--k0", "2", "--samples", "5"]
     assert main(["--out-dir", str(tmp_path)] + argv) == 0
     config = _manifest(tmp_path, "beables")["config"]
-    assert (config["amp_a"], config["amp_b"], config["k0"]) == (1.0, 0.8, 2.0)
-    assert (config["phase_a"], config["phase_b"]) == (0.0, 0.3)
+    assert (config["amp_a"], config["amp_b"], config["k0"]) == (0.8, 0.8, 2.0)
+    assert (config["phase_a"], config["phase_b"]) == (0.3 + math.pi / 2.0, 0.3)
+    for flag in ("--amp-b", "--phase-a"):
+        with pytest.raises(SystemExit) as exc:
+            main(["--out-dir", str(tmp_path / "off"), "beables", flag, "0"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 0" in capsys.readouterr().err
+    assert not (tmp_path / "off").exists()
 
 
 _BAD_VOLUMES = ["nan", "inf", "0", "-1"]
@@ -679,3 +722,113 @@ def test_missing_subcommand_exits_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["--out-dir", str(tmp_path)])
     assert exc.value.code == 2
+
+
+# Every boundary a numeric option has: both signs of zero, the ends of the
+# float range, non-finite values and ordinary ones.  Counts stay small, so an
+# accepted run stays cheap.
+_FLOATS = st.sampled_from(
+    [-1.0, -0.0, 0.0, 5e-324, 1e-300, 1e-150, 1e-13, 0.3, 1.0, 2.5, 1e8, 1e150, 1e300,
+     math.nan, math.inf, -math.inf]
+)
+_COUNTS = st.sampled_from([-1, 0, 1, 3])
+# Each command's numeric options, with the words besides the flag that its
+# messages may use to name them.
+_NUMERIC_OPTIONS = {
+    "g2": {"--t2": ("transmittance", "t^2")},
+    "classical": {
+        "--samples": (), "--scale": ("intensity scale", "dark"), "--gate": ("gate duration",),
+        "--eff-t": ("detector coefficients",), "--eff-r": ("detector coefficients",),
+    },
+    "beables": {
+        "--phi": ("interferometer phase",), "--amp": ("mode amplitude",), "--phase-b": ("mode phases",),
+        "--k0": ("beam wavenumber", "wave vectors"), "--volume": ("quantization volume",), "--periods": ("end time",),
+        "--samples": (), "--vacuum": (),
+    },
+    "photodetect": {
+        "--k0": ("k0", "photon energy"), "--phi": ("interferometer phase",), "--time": ("exposure time",),
+        "--k-max": ("spectrum wavenumber range",), "--samples": (),
+    },
+}
+_INTEGER_OPTIONS = {"--samples", "--vacuum"}
+_STATE_KINDS = {"number": _COUNTS, "coherent": _FLOATS, "chaotic": _FLOATS}
+
+
+@st.composite
+def _command_lines(draw):
+    """A command with any of its numeric options set, and the names each may go by."""
+    command = draw(st.sampled_from(sorted(_NUMERIC_OPTIONS)))
+    argv, names = [command], []
+    if command == "g2":
+        kind = draw(st.sampled_from(sorted(_STATE_KINDS)))
+        argv.append(f"{kind}:{draw(_STATE_KINDS[kind])!r}")
+        names += ["KIND:VALUE", kind, "State("]
+        if draw(st.booleans()):
+            argv.append("--oracle")
+    if command == "classical":
+        argv += ["--law", draw(st.sampled_from(["constant", "uniform", "exponential", "two-point"]))]
+    if command == "beables":
+        region = draw(st.sampled_from(["1", "2"]))
+        argv += ["--region", region]
+        if region == "2" and draw(st.booleans()):
+            argv.append("--sweep")
+        if draw(st.booleans()):
+            argv.append("--check")
+    for flag, words in _NUMERIC_OPTIONS[command].items():
+        if draw(st.booleans()):
+            value = draw(_COUNTS if flag in _INTEGER_OPTIONS else _FLOATS)
+            argv.append(f"{flag}={value!r}")
+            names += [flag, *words]
+    return argv, names
+
+
+def _cells_are_finite(path):
+    """Every cell of a written table that reads as a number is finite."""
+    if path.suffix == ".json":
+        rows = json.loads(path.read_text(), parse_constant=_reject_constant)["rows"]
+    else:
+        rows = _read_csv(path)[1]
+    for cell in (cell for row in rows for cell in row):
+        try:
+            value = float(cell)
+        except (TypeError, ValueError):
+            continue  # a state, a law or a flag
+        assert math.isfinite(value), (path.name, cell)
+
+
+@settings(max_examples=200, deadline=None)
+@given(line=_command_lines(), fmt=st.sampled_from(["csv", "json"]))
+@example(line=(["beables", "--region", "1", "--periods=1e+300"], ["--periods", "end time"]), fmt="csv")
+@example(line=(["beables", "--region", "1", "--check", "--amp=1e-13"], ["--amp"]), fmt="csv")
+@example(line=(["beables", "--region", "1", "--check", "--amp=1e-150"], ["--amp", "mode amplitude"]), fmt="csv")
+@example(line=(["classical", "--law", "uniform", "--scale=100.0"], ["--scale"]), fmt="json")
+# Found by this property: a sweep recorded a NaN phase it does not read, and
+# failed the strict manifest after writing its tables; -0.0 reached numpy's
+# uniform as high < low.
+@example(line=(["beables", "--region", "2", "--sweep", "--phi=nan"], ["interferometer phase"]), fmt="csv")
+@example(line=(["classical", "--law", "uniform", "--scale=-0.0"], ["dark"]), fmt="csv")
+def test_numeric_options_run_or_are_refused_by_name(line, fmt):
+    # As cascade's config reader is: an accepted run writes only finite cells
+    # and strict JSON; a rejected one exits 1 or 2, names an input it was
+    # given and leaves no directory.  A warning or an uncaught error fails
+    # here, as -W error makes it end the command in a traceback.
+    argv, names = line
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = Path(tmp) / "out"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            try:
+                code = main(["--out-dir", str(out_dir), "--format", fmt, *argv])
+            except SystemExit as exc:
+                code = exc.code
+        if out_dir.exists():
+            # Written: the run was accepted, though a physics check may fail.
+            assert code == 0 or (code == 1 and "[FAIL]" in stdout.getvalue()), (argv, stderr.getvalue())
+            manifest = _manifest(out_dir, argv[0])
+            for name in manifest["outputs"]:
+                if name.endswith(f".{fmt}") and name != "selection.json":
+                    _cells_are_finite(out_dir / name)
+        else:
+            message = stderr.getvalue()
+            assert code in (1, 2) and message, (argv, code)
+            assert any(name in message for name in names), (argv, message)
