@@ -38,9 +38,11 @@ class EmptyCurve(ValueError):
 _XHAT = np.array([1.0, 0.0, 0.0])
 _YHAT = np.array([0.0, 1.0, 0.0])
 _ZHAT = np.array([0.0, 0.0, 1.0])
+# v @ _Z_CROSS = z x v for row vectors v: both beams are polarized along z.
+_Z_CROSS = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
 # Block columns: A, E, B and I, three each, then with a background g = sum of
-# w sin theta and c = pol_a x v / V, whose product the intensity loses.
+# w sin theta and c = z x v / V, whose product the intensity loses.
 _A, _E, _B, _I = (slice(3 * i, 3 * i + 3) for i in range(4))
 _G, _C = 12, slice(13, 16)
 
@@ -57,28 +59,24 @@ class ModePair:
     """Two excited traveling-wave coordinates with their geometry.
 
     amp_a and amp_b are the constant moduli of the starting coordinates,
-    phase_a and phase_b their initial phases.  The wave vectors must share
-    one magnitude (a single optical frequency feeds both beams) and each
-    polarization must be a unit vector transverse to its wave vector.
-    Defaults place beam a along x, beam b along y, both polarized along z,
-    with unit wavenumber.  The pair is frozen, its scalars floats and its
-    arrays read-only, and it compares by identity; the last mode set the
-    beables built from it is kept outside its fields.
+    phase_a and phase_b their initial phases, and k0 the one wavenumber
+    of both beams (a single optical frequency feeds them).  Beam a runs
+    along x and beam b along y, both polarized along z, as the read-only
+    arrays k_a, k_b, pol_a and pol_b.  The pair is frozen, its scalars
+    floats and its arrays read-only, and it compares by identity; the last
+    mode set the beables built from it is kept outside its fields.
     """
 
     amp_a: float
     amp_b: float
     phase_a: float = 0.0
     phase_b: float = 0.0
-    k_a: np.ndarray | None = None
-    k_b: np.ndarray | None = None
-    pol_a: np.ndarray | None = None
-    pol_b: np.ndarray | None = None
+    k0: float = 1.0
 
     def __post_init__(self) -> None:
         # An int amplitude would reach the kernel as an int64 array, where
         # amp^2 wraps; every scalar is stored as a float.
-        for name in ("amp_a", "amp_b", "phase_a", "phase_b"):
+        for name in ("amp_a", "amp_b", "phase_a", "phase_b", "k0"):
             try:
                 object.__setattr__(self, name, float(getattr(self, name)))
             except (TypeError, ValueError, OverflowError) as exc:
@@ -94,38 +92,16 @@ class ModePair:
                 raise ValueError(f"mode amplitude {amp:g} leaves amp^2, 1/amp^3 or the period non-finite")
         if not (math.isfinite(self.phase_a) and math.isfinite(self.phase_b)):
             raise ValueError("mode phases must be finite")
-        for name, default in (("k_a", _XHAT), ("k_b", _YHAT), ("pol_a", _ZHAT), ("pol_b", _ZHAT)):
-            given = getattr(self, name)
-            value = np.array(default if given is None else given, dtype=float)
-            if value.shape != (3,):
-                raise ValueError(f"{name} must be a 3-vector")
-            if not np.all(np.isfinite(value)):
-                raise ValueError(f"{name} must be finite")
-            # The squared norm sums three squares of at most the largest entry.
-            largest = float(np.abs(value).max())
-            if not 3.0 * largest * largest < math.inf:
-                raise ValueError(f"beam wavenumber: {name} overflows k0^2")
-            _freeze(self, **{name: value})
-        ka, kb = np.linalg.norm(self.k_a), np.linalg.norm(self.k_b)
-        if abs(ka - kb) > 1e-12 * max(ka, kb, 1.0):
-            raise ValueError("wave vectors must share one magnitude")
-        if ka == 0.0:
-            raise ValueError("wave vectors must be nonzero")
-        for pol, k in ((self.pol_a, self.k_a), (self.pol_b, self.k_b)):
-            if abs(np.linalg.norm(pol) - 1.0) > 1e-9:
-                raise ValueError("polarizations must be unit vectors")
-            if abs(float(np.dot(pol, k))) > 1e-9 * ka:
-                raise ValueError("polarizations must be transverse to their wave vectors")
-        k0, amp = float(ka), max(self.amp_a, self.amp_b)
+        k0, amp = self.k0, max(self.amp_a, self.amp_b)
+        if not 0.0 < k0 < math.inf:
+            raise ValueError("beam wavenumber must be positive and finite")
+        if not 0.0 < k0 * k0 < math.inf:  # k0^2 enters Q, the energy and the residual
+            raise ValueError(f"beam wavenumber {k0:g} squares to {k0 * k0:g}")
         # rho^2 = amp_a^2 + amp_b^2 on every orbit, so this is the oscillator energy.
         if not k0 * k0 * (self.amp_a * self.amp_a + self.amp_b * self.amp_b) < math.inf:
             raise ValueError(f"mode amplitude {amp:g} at beam wavenumber {k0:g} overflows k0^2 rho^2")
-        object.__setattr__(self, "_k0", k0)
+        _freeze(self, k_a=k0 * _XHAT, k_b=k0 * _YHAT, pol_a=_ZHAT.copy(), pol_b=_ZHAT.copy())
         object.__setattr__(self, "_memo", (None, None, None))
-
-    @property
-    def k0(self) -> float:
-        return self._k0
 
     @classmethod
     def single_frequency(
@@ -135,25 +111,9 @@ class ModePair:
 
         On this manifold both coordinates rotate rigidly at the mode
         frequency 1 / (4 amp^2) and keep their moduli: analytic_region1
-        reduces to q* = q*(0) e^(i omega t).  The beams run along +x and +y
-        with wavenumber k0, which must be positive and finite.
+        reduces to q* = q*(0) e^(i omega t).
         """
-        if not 0.0 < k0 < math.inf:
-            raise ValueError("beam wavenumber must be positive and finite")
-        return cls(
-            amp_a=amp,
-            amp_b=amp,
-            phase_a=phase_b + math.pi / 2.0,
-            phase_b=phase_b,
-            k_a=k0 * _XHAT,
-            k_b=k0 * _YHAT,
-        )
-
-
-def _cross_matrix(r) -> np.ndarray:
-    """Matrix M with v @ M = r x v for row vectors v."""
-    r0, r1, r2 = (float(value) for value in r)
-    return np.array([[0.0, r2, -r1], [-r2, 0.0, r0], [r1, -r0, 0.0]])
+        return cls(amp_a=amp, amp_b=amp, phase_a=phase_b + math.pi / 2.0, phase_b=phase_b, k0=k0)
 
 
 def _weights(phi: float | None) -> tuple[float, float]:
@@ -353,7 +313,7 @@ def _mode_set(pair, weights, volume, vacuum):
         # q e^(i k.x) = (Re q cos - Im q sin) + i (Im q cos + Re q sin).
         for rows, re, im in ((cos[4:], q.real, q.imag), (sin[2:], -q.imag, q.real)):
             rows[:, _A], rows[:, _B] = 2.0 * re * vacuum.pols, -2.0 * im * curl
-            rows[:, _C] = flux * rows[:, _B] @ _cross_matrix(pair.pol_a)
+            rows[:, _C] = flux * rows[:, _B] @ _Z_CROSS
         sin[0:2, _G] = w[:, 0]
         waves.append(vacuum.k_vectors)
     block = np.concatenate((cos, sin))
@@ -398,7 +358,7 @@ def beables_region1(
     mode frequency does; with the frequency law 1 / (4 amp^2) the frame
     satisfies E = -dA/dt and B = curl A identically.  Points x may be an
     array of shape (..., 3), with times t broadcast against x[..., 0].  The
-    background's intensity cross term is taken against beam a's polarization.
+    background's intensity cross term is taken against the beams' polarization z.
     """
     return _frames(pair, _weights(None), x, t, volume, vacuum)
 

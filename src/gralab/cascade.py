@@ -19,10 +19,9 @@ the exact per-gate probabilities at finite efficiency (gate_probabilities)
 and the exact ratio (exact_alpha) that the Monte Carlo converges to.  In
 the 'physical' arrival mode the photon's exponential delay is drawn only
 at the gates where a counter reads it, those where the photon is routed
-to a counter, and the other gates' arrivals are one Binomial draw.  The
-routed gates are read from the routing draw's mark positions, one delay
-per mark, rather than found by scanning the chunk.  The
-source time between gates is exponential, but the counters never read a
+to a counter.  The routed gates are read from the routing draw's mark
+positions, one delay per mark, rather than found by scanning the chunk.
+The source time between gates is exponential, but the counters never read a
 single wait: a chunk of g gates draws its total wait as one Gamma(g)
 variate, and the chunk where a run_time stop falls is halved by Beta
 splits of that total until a leaf of a few hundred gates draws its waits.
@@ -189,13 +188,12 @@ class CountRecord:
     nr_counts: int
     nc_counts: int
     total_gates: int
-    trigger_arrivals: int
     elapsed_sim_time: float
 
     def __post_init__(self) -> None:
         if self.total_gates != self.n1_counts:
             raise ValueError("every first-photon detection opens exactly one gate")
-        counts = (self.nt_counts, self.nr_counts, self.nc_counts, self.trigger_arrivals)
+        counts = (self.nt_counts, self.nr_counts, self.nc_counts)
         if any(c < 0 or c > self.n1_counts for c in counts):
             raise ValueError("per-gate indicators cannot exceed the gate count")
         if self.nc_counts > min(self.nt_counts, self.nr_counts):
@@ -350,9 +348,7 @@ def simulate(cfg: CascadeConfig) -> CountRecord:
     counters read, each as an event set or-ed into one bool buffer per arm.
     The paired photon is counted in the transmitted arm with probability
     s p_t and in the reflected arm with probability s p_r (_route), with
-    p_t = t^2 eps_t, p_r = r^2 eps_r and s = f in 'analytic' mode.  There
-    the arrival count adds, to the counted photons, a Binomial draw over
-    the other gates at the arrival probability of an uncounted photon.  In
+    p_t = t^2 eps_t, p_r = r^2 eps_r and s = f in 'analytic' mode.  In
     'physical' mode s = 1, so arrival is independent of routing.  Each
     routed gate reads the photon's exponential delay, and for a > 1, where
     the delay missed, a promotion uniform that lets the late photon
@@ -360,10 +356,9 @@ def simulate(cfg: CascadeConfig) -> CountRecord:
     draws are made once per routing mark and scattered onto the gates; a
     gate with several marks keeps one mark's draws, chosen by the order of
     the positions alone, so every routed gate reads one independent delay
-    and the per-chunk law of (nt, nr, nc, arrivals) is that of one delay
-    per gate.  A routing row drawn by uniforms has no marks; its routed
-    gates are found by a scan.  One Binomial draw at min(1, f) over the
-    gates no counter reads completes the arrivals.
+    and the per-chunk law of (nt, nr, nc) is that of one delay per gate.
+    A routing row drawn by uniforms has no marks; its routed gates are
+    found by a scan.
     Accidental photons, Poisson with mean N w thinned by
     accidental_collection, split into independent per-arm Poisson streams,
     so each arm's accidental marks are one more event set (_mark_events).
@@ -391,11 +386,7 @@ def simulate(cfg: CascadeConfig) -> CountRecord:
     route_t = _events_lambda(scale * p_t)
     route_r = _events_lambda(scale * p_r / (1.0 - scale * p_t)) if scale * p_t < 1.0 else 0.0
     acc_t, acc_r = _accidental_means(cfg)
-    if analytic:
-        # Arrival probability at a gate whose paired photon was not counted.
-        uncounted = 1.0 - f * (p_t + p_r)
-        arrive_uncounted = min(1.0, f * (1.0 - p_t - p_r) / uncounted) if uncounted > 0.0 else 0.0
-    else:
+    if not analytic:
         p_short = 1.0 - math.exp(-cfg.gate / cfg.lifetime)
         delay_cut = cfg.gate / cfg.lifetime
         a = cfg.correlation_factor
@@ -404,7 +395,7 @@ def simulate(cfg: CascadeConfig) -> CountRecord:
             promote = min(1.0, (a - 1.0) * p_short / (1.0 - p_short))
 
     rng = np.random.default_rng(cfg.rng_seed)
-    n1 = nt = nr = nc = arrivals = 0
+    n1 = nt = nr = nc = 0
     elapsed = 0.0
     remaining = cfg.target_gates
     last = False
@@ -435,12 +426,7 @@ def simulate(cfg: CascadeConfig) -> CountRecord:
         hits = buf[: 2 * g].reshape(2, g)
         hit_t, hit_r = hits[0], hits[1]
         marks = _route(rng, hits, route_t, route_r)
-        if analytic:
-            counted = int(np.count_nonzero(hits))
-            arrivals += counted + int(rng.binomial(g - counted, arrive_uncounted))
-        else:
-            # The rows are exclusive, so this counts routed gates.
-            routed = int(np.count_nonzero(hits))
+        if not analytic:
             if marks is None:
                 marks = np.flatnonzero(hit_t | hit_r)
             # One delay per mark; a gate keeps the flag of one of its marks.
@@ -451,10 +437,7 @@ def simulate(cfg: CascadeConfig) -> CountRecord:
             late_gates = late_row[:g]
             late_gates[marks] = late
             np.greater(hits, late_gates, out=hits)
-            n_late = int(np.count_nonzero(late_gates))
             late_gates[marks] = False
-            # f may exceed 1 by rounding.
-            arrivals += routed - n_late + int(rng.binomial(g - routed, min(1.0, f)))
         _mark_events(rng, hits, acc_t, acc_r)
 
         n1 += g
@@ -470,7 +453,6 @@ def simulate(cfg: CascadeConfig) -> CountRecord:
         nr_counts=nr,
         nc_counts=nc,
         total_gates=n1,
-        trigger_arrivals=arrivals,
         elapsed_sim_time=elapsed,
     )
 
@@ -578,8 +560,8 @@ def sweep_curve(template: CascadeConfig, n_omega_values) -> list[SweepPoint]:
 
 # The keys a cascade configuration may set: JSON numbers, then the Nw list and the arrival mode.
 NUMBER_KEYS = (
-    "lifetime", "lifetime_ns", "gate", "gate_ns", "correlation_factor", "f_target",
-    "n_omega", "epsilon_1", "epsilon_t", "epsilon_r", "transmittance", "accidental_collection",
+    "lifetime", "gate", "correlation_factor", "f_target", "n_omega",
+    "epsilon_1", "epsilon_t", "epsilon_r", "transmittance", "accidental_collection",
 )
 KEYS = (*NUMBER_KEYS, "n_omega_values", "arrival_mode")
 
@@ -607,13 +589,8 @@ def template_from(
     config = {key: float(v) if key in NUMBER_KEYS else v for key, v in entries.items()}
     config.update(overrides)
 
-    for key, other in (("lifetime", "lifetime_ns"), ("gate", "gate_ns"), ("correlation_factor", "f_target")):
-        if key in config and other in config:
-            raise ConfigError(f"give {key} or {other}, not both")
-    # Durations in seconds, or in nanoseconds under the key ending in _ns.
-    for key in ("lifetime", "gate"):
-        if f"{key}_ns" in config:
-            config[key] = config.pop(f"{key}_ns") * 1e-9
+    if "correlation_factor" in config and "f_target" in config:
+        raise ConfigError("give correlation_factor or f_target, not both")
     lifetime = config.get("lifetime", CascadeConfig.lifetime)
     gate = _gate_width(lifetime, config.get("gate"))
     if "correlation_factor" not in config:

@@ -38,14 +38,14 @@ _PROBE_X = np.array([0.3, 0.2, 0.1])
 
 def frames(pair, phi, volume, vacuum) -> list[Check]:
     """E = -(1/c) dA/dt and B = curl A at the probe point, at 0.4 of the
-    fastest period in the divided region (phi None) and at t = 0.7 in the
-    recombined one."""
+    fastest period of the region's mode frequencies (phi None is the
+    divided region), so the rotation phase there is the same at any amplitude."""
     x = _PROBE_X / pair.k0
+    t = 0.4 * (2.0 * math.pi / max(beables.mode_frequencies(pair, phi=phi)))
     if phi is None:
-        period = 2.0 * math.pi / max(beables.mode_frequencies(pair))
-        e_err, b_err = beables.frame_consistency_region1(pair, x, 0.4 * period, volume, vacuum)
+        e_err, b_err = beables.frame_consistency_region1(pair, x, t, volume, vacuum)
     else:
-        e_err, b_err = beables.frame_consistency_region2(pair, phi, x, 0.7, volume, vacuum)
+        e_err, b_err = beables.frame_consistency_region2(pair, phi, x, t, volume, vacuum)
     return [_below("E vs -(1/c) dA/dt", e_err, 1e-6), _below("B vs curl A", b_err, 1e-6)]
 
 

@@ -340,11 +340,9 @@ def cmd_beables(args) -> Run:
         if args.check:
             run.checks = checks.fringes(i_c, i_d)
     else:
-        # Frames along the diagonal of the two beam directions, from one batched call.
-        direction = pair.k_a / np.linalg.norm(pair.k_a) + pair.k_b / np.linalg.norm(pair.k_b)
-        direction = direction / np.linalg.norm(direction)
+        # Frames along the diagonal of the beams, x and y, from one batched call.
         s = np.linspace(0.0, 4.0 * math.pi / pair.k0, args.samples)
-        points = s[:, None] * direction
+        points = s[:, None] * (np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0))
         if phi is None:
             frame = beables.beables_region1(pair, points, 0.0, args.volume, vacuum)
         else:

@@ -276,21 +276,28 @@ def oracle_moments(
     """
     weights = photon_weights(state, n_max)[1].tolist()
     top = state.n if isinstance(state, NumberState) else len(weights) - 1
-    # Rows 1, j, j^2 (twice each, for a rung's real and imaginary parts)
-    # give sum p, sum j p, sum j^2 p over its probabilities p; with them
-    # <n_t> = k sum p - sum j p and <n_t n_r> = k sum j p - sum j^2 p.
-    powers = np.arange(top + 1.0).repeat(2) ** np.arange(3.0)[:, None]
+    # A rung's probabilities p are indexed by the count m in the arm with the
+    # smaller share: m = j reflected photons, or m = k - j transmitted ones
+    # when t^2 < 1/2, read from the powers of top - j from column 2 (top - k).
+    # Rows 1, m, m^2 (twice each, for a rung's real and imaginary parts)
+    # give sum p, sum m p, sum m^2 p; with them that arm's mean is sum m p,
+    # the other's k sum p - sum m p and <n_t n_r> = k sum m p - sum m^2 p,
+    # none of which cancels however small the smaller share is.
+    flip = bs.t**2 < 0.5
+    counts = np.arange(top + 1.0)
+    powers = (counts[::-1] if flip else counts).repeat(2) ** np.arange(3.0)[:, None]
     probs, sums = np.empty(2 * (top + 1)), np.empty(3)
-    exp_t = exp_r = exp_c = 0.0
+    exp_major = exp_minor = exp_c = 0.0
     for k, rung in enumerate(_rungs(bs, top)):
         weight = weights[k]
         if weight:
             p = np.square(rung.view(float), out=probs[: 2 * k + 2])
-            total, mean_r, square_r = np.matmul(powers[:, : 2 * k + 2], p, out=sums).tolist()
-            exp_t += weight * (k * total - mean_r)
-            exp_r += weight * mean_r
-            exp_c += weight * (k * mean_r - square_r)
-    return exp_t, exp_r, exp_c
+            start = 2 * (top - k) if flip else 0
+            total, mean, square = np.matmul(powers[:, start : start + 2 * k + 2], p, out=sums).tolist()
+            exp_major += weight * (k * total - mean)
+            exp_minor += weight * mean
+            exp_c += weight * (k * mean - square)
+    return (exp_minor, exp_major, exp_c) if flip else (exp_major, exp_minor, exp_c)
 
 
 def oracle_g2(state: InputState, bs: BeamSplitter | None = None, n_max: int | None = None) -> float:

@@ -183,17 +183,16 @@ def test_record_invariants_hold():
     rec = simulate(_config(decay_rate=0.9 / 9.4e-9, rng_seed=5))
     assert rec.total_gates == rec.n1_counts == 20000
     assert rec.nc_counts <= min(rec.nt_counts, rec.nr_counts)
-    assert rec.trigger_arrivals <= rec.total_gates
     assert rec.elapsed_sim_time > 0.0
 
 
 def test_record_validation():
     with pytest.raises(ValueError):
-        CountRecord(10, 5, 5, 6, 10, 8, 1.0)
+        CountRecord(10, 5, 5, 6, 10, 1.0)
     with pytest.raises(ValueError):
-        CountRecord(10, 5, 5, 2, 9, 8, 1.0)
+        CountRecord(10, 5, 5, 2, 9, 1.0)
     with pytest.raises(ValueError):
-        CountRecord(10, 11, 5, 2, 10, 8, 1.0)
+        CountRecord(10, 11, 5, 2, 10, 1.0)
 
 
 def test_dark_detector_gives_no_counts():
@@ -232,19 +231,29 @@ def test_indicator_probabilities_match_closed_form():
         assert np.abs(observed / gates - expected) < 4.0 * se
 
 
+def _every_gate_routed(**kwargs):
+    """Both arms certain on a balanced splitter and no accidentals: every
+    gate is routed to a counter, so (nt + nr) / gates is the arrival fraction."""
+    return _config(
+        epsilon_t=1.0, epsilon_r=1.0, bs=BeamSplitter(), accidental_collection=0.0, target_gates=100000, **kwargs
+    )
+
+
+def _counted_fraction(rec):
+    return (rec.nt_counts + rec.nr_counts) / rec.total_gates
+
+
 def test_physical_arrival_fraction():
-    rec = simulate(_config(decay_rate=1e6, arrival_mode="physical", target_gates=100000))
+    rec = simulate(_every_gate_routed(decay_rate=1e6, arrival_mode="physical"))
     se = math.sqrt(F_BASE * (1.0 - F_BASE) / 100000)
-    assert np.abs(rec.trigger_arrivals / 100000 - F_BASE) < 4.0 * se
+    assert np.abs(_counted_fraction(rec) - F_BASE) < 4.0 * se
 
 
 def test_physical_arrival_fraction_boosted():
     a = correlation_for_f(0.95)
-    rec = simulate(
-        _config(decay_rate=1e6, correlation_factor=a, arrival_mode="physical", target_gates=100000)
-    )
+    rec = simulate(_every_gate_routed(decay_rate=1e6, correlation_factor=a, arrival_mode="physical"))
     se = math.sqrt(0.95 * 0.05 / 100000)
-    assert np.abs(rec.trigger_arrivals / 100000 - 0.95) < 4.0 * se
+    assert np.abs(_counted_fraction(rec) - 0.95) < 4.0 * se
 
 
 def test_physical_and_analytic_modes_agree():
@@ -263,19 +272,19 @@ def test_physical_and_analytic_modes_agree():
 
 
 def test_measured_alpha_arithmetic():
-    rec = CountRecord(1000, 100, 200, 30, 1000, 900, 1.0)
+    rec = CountRecord(1000, 100, 200, 30, 1000, 1.0)
     assert np.abs(measured_alpha(rec) - 1.5) < 1e-15
 
 
 def test_alpha_stderr_scales_with_gates():
-    rec = CountRecord(1000, 100, 200, 30, 1000, 900, 1.0)
-    rec4 = CountRecord(4000, 400, 800, 120, 4000, 3600, 4.0)
+    rec = CountRecord(1000, 100, 200, 30, 1000, 1.0)
+    rec4 = CountRecord(4000, 400, 800, 120, 4000, 4.0)
     assert alpha_stderr(rec) > 0.0
     assert np.abs(alpha_stderr(rec4) / alpha_stderr(rec) - 0.5) < 1e-12
 
 
 def test_alpha_stderr_zero_coincidences_finite():
-    rec = CountRecord(1000, 100, 200, 0, 1000, 900, 1.0)
+    rec = CountRecord(1000, 100, 200, 0, 1000, 1.0)
     assert measured_alpha(rec) == 0.0
     assert alpha_stderr(rec) > 0.0
 
@@ -382,18 +391,12 @@ def test_certain_accidentals_fill_every_gate(mode):
 
 @pytest.mark.parametrize("mode", ["analytic", "physical"])
 def test_certain_arrival_reaches_every_gate(mode):
-    # 1 + 1e-13 lies inside the config's tolerance on f; an arrival
-    # probability drawn at it unclamped would make the Binomial raise.
+    # 1 + 1e-13 lies inside the config's tolerance on f; an event or
+    # promotion probability drawn at it unclamped would pass 1.
     for f in (1.0, 1.0 + 1e-13):
-        cfg = _config(
-            correlation_factor=correlation_for_f(f),
-            epsilon_t=0.5,
-            epsilon_r=0.5,
-            arrival_mode=mode,
-            target_gates=70_000,
-        )
+        cfg = _every_gate_routed(correlation_factor=correlation_for_f(f), arrival_mode=mode)
         assert f_omega(cfg) == pytest.approx(f, abs=1e-15)
-        assert simulate(cfg).trigger_arrivals == 70_000
+        assert _counted_fraction(simulate(cfg)) == 1.0
 
 
 def test_run_time_stop_inside_first_leaf():
@@ -402,7 +405,7 @@ def test_run_time_stop_inside_first_leaf():
     cfg = _config(decay_rate=1e7, target_gates=None, run_time=1e-6)
     records = [simulate(replace(cfg, rng_seed=seed)) for seed in range(40)]
     empty = [rec for rec in records if rec.total_gates == 0]
-    assert empty and all(rec == CountRecord(0, 0, 0, 0, 0, 0, 0.0) for rec in empty)
+    assert empty and all(rec == CountRecord(0, 0, 0, 0, 0, 0.0) for rec in empty)
     for rec in records:
         assert rec.total_gates < 20
         assert rec.total_gates * cfg.gate <= rec.elapsed_sim_time <= cfg.run_time
@@ -441,11 +444,11 @@ def test_record_invariants_and_determinism(log_n_omega, eps_t, eps_r, f, mode, e
     else:
         assert rec.total_gates == expected_gates
     assert rec.nc_counts <= min(rec.nt_counts, rec.nr_counts)
-    assert max(rec.nt_counts, rec.nr_counts, rec.trigger_arrivals) <= rec.total_gates
+    assert max(rec.nt_counts, rec.nr_counts) <= rec.total_gates
     assert rec.elapsed_sim_time >= rec.total_gates * cfg.gate
     if eps_t == 0.0:
         assert rec.nt_counts == 0
-    counts = (rec.n1_counts, rec.nt_counts, rec.nr_counts, rec.nc_counts, rec.total_gates, rec.trigger_arrivals)
+    counts = (rec.n1_counts, rec.nt_counts, rec.nr_counts, rec.nc_counts, rec.total_gates)
     assert all(type(c) is int for c in counts)
     assert simulate(cfg) == rec
 
@@ -509,8 +512,8 @@ def test_run_time_gate_count_matches_per_wait_reference(expected_gates, runs):
 K_SIGMA = 5.0
 
 
-def _reference_counts(cfg: CascadeConfig, rng: np.random.Generator) -> tuple[int, int, int, int]:
-    """(nt, nr, nc, arrivals) from a per-photon sampler that never uses the
+def _reference_counts(cfg: CascadeConfig, rng: np.random.Generator) -> tuple[int, int, int]:
+    """(nt, nr, nc) from a per-photon sampler that never uses the
     per-arm Poisson split: a Poisson count of accidentals, collection
     thinning, then each photon routed whole to t, r or loss."""
     g = cfg.target_gates
@@ -526,7 +529,7 @@ def _reference_counts(cfg: CascadeConfig, rng: np.random.Generator) -> tuple[int
     d_t = rng.binomial(photons, p_t)
     d_r = rng.binomial(photons - d_t, p_r / (1.0 - p_t))
     hit_t, hit_r = d_t > 0, d_r > 0
-    return int(hit_t.sum()), int(hit_r.sum()), int((hit_t & hit_r).sum()), int(arrived.sum())
+    return int(hit_t.sum()), int(hit_r.sum()), int((hit_t & hit_r).sum())
 
 
 # (Nw, arrival mode, f, t^2, accidental collection, arm efficiencies);
@@ -578,8 +581,8 @@ def test_simulate_matches_exact_probabilities_and_reference_sampler(n_omega, mod
     rec = simulate(cfg)
     ref = _reference_counts(cfg, np.random.default_rng(23))
     big_t, big_r, big_c = gate_probabilities(cfg)
-    observed = (rec.nt_counts, rec.nr_counts, rec.nc_counts, rec.trigger_arrivals)
-    for got, other, p in zip(observed, ref, (big_t, big_r, big_c, f_omega(cfg))):
+    observed = (rec.nt_counts, rec.nr_counts, rec.nc_counts)
+    for got, other, p in zip(observed, ref, (big_t, big_r, big_c)):
         sigma = math.sqrt(p * (1.0 - p) / gates)
         assert abs(got / gates - p) <= K_SIGMA * sigma
         assert abs(got - other) / gates <= K_SIGMA * math.sqrt(2.0) * sigma
@@ -704,7 +707,7 @@ _POINTS = st.lists(_EXTREME, min_size=1, max_size=3)
 # Besides its own name and its flag's, the words a message may use to name a
 # configuration key.  The gate defaults to twice the lifetime.
 _NAMES = {
-    "lifetime": ("gate",), "lifetime_ns": ("lifetime", "gate"), "gate_ns": ("gate",),
+    "lifetime": ("gate",),
     "correlation_factor": ("correlation factor", "arrival probability"),
     "f_target": ("arrival probability",), "n_omega": ("Nw",), "n_omega_values": ("Nw",),
     "arrival_mode": ("arrival mode",),
@@ -757,7 +760,6 @@ def _run_cli(entries, overrides, sweep):
     through_cli=st.just(False),
 )
 @example(entries={}, overrides={"n_omega": 1e300}, sweep=False, through_cli=True)
-@example(entries={"gate_ns": 5e-324, "correlation_factor": 1.0}, overrides={}, sweep=False, through_cli=True)
 @example(
     entries={"epsilon_1": 5e-324, "transmittance": -0.0},
     overrides={"n_omega_values": [0.0, 1e-300, 1e300]},

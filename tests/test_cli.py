@@ -266,28 +266,18 @@ def test_cascade_config_conflicts(tmp_path, capsys):
     assert code == 1
     assert "error:" in capsys.readouterr().err
 
+    # Each duration has one key, in seconds.
     config.write_text(json.dumps({"gate": 9.4e-9, "gate_ns": 9.4}))
     code = main(["--out-dir", str(tmp_path), "cascade", "--config", str(config)])
     assert code == 1
-    assert "gate" in capsys.readouterr().err
-
-
-def test_cascade_config_nanosecond_keys(tmp_path):
-    config = tmp_path / "cascade.json"
-    config.write_text(json.dumps({"lifetime_ns": 4.7, "gate_ns": 9.4, "n_omega": 0.2}))
-    assert main(
-        ["--out-dir", str(tmp_path), "cascade", "--config", str(config), "--gates", "2000"]
-    ) == 0
-    manifest = _manifest(tmp_path, "cascade")
-    assert np.abs(manifest["config"]["gate"] - 9.4e-9) < 1e-21
-    assert np.abs(manifest["config"]["lifetime"] - 4.7e-9) < 1e-21
+    assert "unknown config key 'gate_ns'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
     "entry,key",
     [
         ({"transmittance": None}, "transmittance"),
-        ({"lifetime_ns": [1]}, "lifetime_ns"),
+        ({"lifetime": [1]}, "lifetime"),
         ({"epsilon_1": True}, "epsilon_1"),
         ({"n_omega": "0.1"}, "n_omega"),
         ({"epsilon1": 0.9}, "epsilon1"),
@@ -324,7 +314,7 @@ def test_cascade_config_rejects_unread_or_mistyped_keys(tmp_path, capsys, entry,
         # NaN lifetime or negative gate in an error about the arrival probability.
         ([], {"lifetime": 0}, "lifetime"),
         ([], {"lifetime": math.nan}, "lifetime"),
-        ([], {"gate_ns": -1}, "gate"),
+        ([], {"gate": -1e-9}, "gate"),
         ([], {"gate": 1e-300}, "gate"),
     ],
     ids=["points", "n-omega-nan", "n-omega-inf", "config-n-omega", "config-points",
@@ -382,6 +372,9 @@ def test_cascade_config_integer_past_float_range_is_named(tmp_path, capsys):
         ("beables --region 1 --amp 1e200", "mode amplitude 1e+200"),
         ("beables --region 1 --amp 1e-200", "mode amplitude 1e-200"),
         ("beables --region 1 --k0 1e300 --check", "beam wavenumber"),
+        # k0^2 underflows to 0.
+        ("beables --region 1 --k0 5e-324", "beam wavenumber 4.94066e-324 squares to 0"),
+        ("beables --region 2 --k0 1e-200 --check", "beam wavenumber 1e-200 squares to 0"),
         ("beables --region 1 --amp 1e150 --k0 1e100 --check", "mode amplitude 1e+150 at beam wavenumber 1e+100"),
         ("beables --region 1 --amp 1e-150 --check", "mode amplitude 1e-150"),
         ("beables --region 1 --volume 1e-320", "quantization volume 9.99989e-321 overflows the fields"),
@@ -472,6 +465,8 @@ def test_beables_region1_with_checks(tmp_path, capsys):
         "--region 1 --phase-b 1e8",
         "--region 2 --phi 1.0 --phase-b 1e300",
         "--region 2 --phi 1.0 --amp 0.01",
+        "--region 2 --amp 1e-13",
+        "--region 2 --amp 1e-3",
     ],
 )
 def test_beables_checks_pass_at_large_wavenumber_and_fast_rotation(tmp_path, capsys, line):
@@ -480,7 +475,9 @@ def test_beables_checks_pass_at_large_wavenumber_and_fast_rotation(tmp_path, cap
     # amplitudes, whose frequency 1 / (4 amp^2) is large.  A probe at a fixed
     # point failed k0 1e8 (E 1.5e-5, B 1.2e-4) and 1e12 (0.44, 0.25); it now
     # sits at (0.3, 0.2, 0.1) / k0.  An absolute floor on q_a - i q_b
-    # refused amp 4e-13 as a vanishing denominator.
+    # refused amp 4e-13 as a vanishing denominator.  Region II probed at
+    # t = 0.7, a rotation phase of 0.7 / (4 amp^2): E and B failed at amp
+    # 1e-13 (2.5e-2, 1.8e-2) and E read 1.2e-7 at 1e-3.
     assert main(["--out-dir", str(tmp_path), "beables", *line.split(), "--check", "--samples", "9"]) == 0
     out = capsys.readouterr().out
     assert "[ok] E vs -(1/c) dA/dt" in out and "[ok] B vs curl A" in out
@@ -742,7 +739,7 @@ _NUMERIC_OPTIONS = {
     },
     "beables": {
         "--phi": ("interferometer phase",), "--amp": ("mode amplitude",), "--phase-b": ("mode phases",),
-        "--k0": ("beam wavenumber", "wave vectors"), "--volume": ("quantization volume",), "--periods": ("end time",),
+        "--k0": ("beam wavenumber",), "--volume": ("quantization volume",), "--periods": ("end time",),
         "--samples": (), "--vacuum": (),
     },
     "photodetect": {

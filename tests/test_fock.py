@@ -373,6 +373,30 @@ def test_oracle_matches_closed_forms():
     assert np.abs(oracle_g2(NumberState(171)) - 170.0 / 171.0) < 1e-12
 
 
+@settings(deadline=None)
+@given(
+    state=st.one_of(
+        st.integers(1, 12).map(NumberState),
+        st.floats(0.3, 3.0).map(CoherentState),
+        st.floats(0.05, 0.8).map(ChaoticState),
+    ),
+    exponent=st.floats(-12.0, math.log10(0.5)),
+    dim_arm=st.sampled_from(["transmitted", "reflected"]),
+)
+@example(state=NumberState(3), exponent=-9.0, dim_arm="transmitted")
+@example(state=CoherentState(1.5), exponent=-12.0, dim_arm="transmitted")
+@example(state=ChaoticState(0.5), exponent=-9.0, dim_arm="transmitted")
+# <n_t> read 0 here, and the ratio was refused as that of a dark arm.
+@example(state=NumberState(1), exponent=-300.0, dim_arm="transmitted")
+def test_oracle_keeps_its_digits_when_one_arm_is_nearly_dark(state, exponent, dim_arm):
+    # t^2 from 1e-12 to 1 - 1e-12.  <n_t> was k sum p - sum j p over the
+    # reflected count j, which cancels as t^2 -> 0: the oracle missed g2 by
+    # 3.0e-7 for number:3 at t^2 = 1e-9 and by 4.6e-5 for coherent:1.5 at 1e-12.
+    share = 10.0**exponent
+    bs = BeamSplitter.from_transmittance(share if dim_arm == "transmitted" else 1.0 - share)
+    assert abs(oracle_g2(state, bs) - g2(state, bs)) <= 1e-8
+
+
 def test_oracle_independent_of_reflection_phase():
     rng = np.random.default_rng(23)
     for _ in range(3):
