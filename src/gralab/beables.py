@@ -378,14 +378,13 @@ def beables_region2(
     return _frames(pair, _weights(phi), x, t, volume, vacuum)
 
 
-def beam_intensity_curves(pair: ModePair, phis, volume: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Averaged intensity magnitudes (1 / 2V) k0 (1 +- cos phi) along
-    the recombined beams c and d, across a phase sweep."""
-    cos = np.cos(np.asarray(phis, dtype=float))
-    scale = _flux(volume) / 2.0 * pair.k0
-    if not 4.0 * scale < math.inf:  # i_c + i_d and a visibility's max + min
-        raise ValueError(f"quantization volume {volume:g} overflows the intensity at k0 {pair.k0:g}")
-    return scale * (1.0 + cos), scale * (1.0 - cos)
+def beam_intensity_curves(pair: ModePair, phis) -> tuple[np.ndarray, np.ndarray]:
+    """Averaged intensity magnitudes k0 w / 2 at unit volume along the
+    recombined beams c and d, with the weights w of beables_region2, across
+    a phase sweep."""
+    phis = np.asarray(phis, dtype=float)
+    weights = np.array([_weights(phi) for phi in phis.ravel()]).reshape(phis.shape + (2,))
+    return 0.5 * pair.k0 * weights[..., 0], 0.5 * pair.k0 * weights[..., 1]
 
 
 def visibility(curve) -> float:

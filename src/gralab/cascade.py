@@ -559,10 +559,7 @@ def sweep_curve(template: CascadeConfig, n_omega_values) -> list[SweepPoint]:
 
 
 # The keys a cascade configuration may set: JSON numbers, then the Nw list and the arrival mode.
-NUMBER_KEYS = (
-    "lifetime", "gate", "correlation_factor", "f_target", "n_omega",
-    "epsilon_1", "epsilon_t", "epsilon_r", "transmittance", "accidental_collection",
-)
+NUMBER_KEYS = ("lifetime", "gate", "f_target", "n_omega", "epsilon_1", "epsilon_t", "epsilon_r", "transmittance")
 KEYS = (*NUMBER_KEYS, "n_omega_values", "arrival_mode")
 
 
@@ -589,12 +586,9 @@ def template_from(
     config = {key: float(v) if key in NUMBER_KEYS else v for key, v in entries.items()}
     config.update(overrides)
 
-    if "correlation_factor" in config and "f_target" in config:
-        raise ConfigError("give correlation_factor or f_target, not both")
     lifetime = config.get("lifetime", CascadeConfig.lifetime)
     gate = _gate_width(lifetime, config.get("gate"))
-    if "correlation_factor" not in config:
-        config["correlation_factor"] = correlation_for_f(config.get("f_target", 0.9), lifetime, gate)
+    a = correlation_for_f(config.get("f_target", 0.9), lifetime, gate)
 
     points = [float(x) for x in config.get("n_omega_values", (0.01, 0.05, 0.1, 0.3, 0.9, 3.0))]
     n_omega = config.get("n_omega", 0.1)
@@ -604,11 +598,11 @@ def template_from(
     if not sweep and "n_omega_values" in config:
         raise ConfigError("the Nw list (--points, config key 'n_omega_values') needs --sweep")
 
-    fields = ("lifetime", "correlation_factor", "epsilon_1", "epsilon_t", "epsilon_r",
-              "accidental_collection", "arrival_mode")
+    fields = ("lifetime", "epsilon_1", "epsilon_t", "epsilon_r", "arrival_mode")
     splitter = {"t2": config["transmittance"]} if "transmittance" in config else {}
     template = CascadeConfig(
-        decay_rate=_source_rate(n_omega, gate), gate=gate, bs=BeamSplitter.from_transmittance(**splitter),
-        target_gates=target_gates, rng_seed=rng_seed, **{key: config[key] for key in fields if key in config},
+        decay_rate=_source_rate(n_omega, gate), gate=gate, correlation_factor=a,
+        bs=BeamSplitter.from_transmittance(**splitter), target_gates=target_gates, rng_seed=rng_seed,
+        **{key: config[key] for key in fields if key in config},
     )
     return template, points, n_omega

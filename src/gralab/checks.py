@@ -36,20 +36,21 @@ def _below(label: str, value: float, bound: float) -> Check:
 _PROBE_X = np.array([0.3, 0.2, 0.1])
 
 
-def frames(pair, phi, volume, vacuum) -> list[Check]:
+def frames(pair, phi, vacuum) -> list[Check]:
     """E = -(1/c) dA/dt and B = curl A at the probe point, at 0.4 of the
     fastest period of the region's mode frequencies (phi None is the
-    divided region), so the rotation phase there is the same at any amplitude."""
+    divided region), so the rotation phase there is the same at any amplitude.
+    Both errors are relative, so the unit volume stands for every volume."""
     x = _PROBE_X / pair.k0
     t = 0.4 * (2.0 * math.pi / max(beables.mode_frequencies(pair, phi=phi)))
     if phi is None:
-        e_err, b_err = beables.frame_consistency_region1(pair, x, t, volume, vacuum)
+        e_err, b_err = beables.frame_consistency_region1(pair, x, t, vacuum=vacuum)
     else:
-        e_err, b_err = beables.frame_consistency_region2(pair, phi, x, t, volume, vacuum)
+        e_err, b_err = beables.frame_consistency_region2(pair, phi, x, t, vacuum=vacuum)
     return [_below("E vs -(1/c) dA/dt", e_err, 1e-6), _below("B vs curl A", b_err, 1e-6)]
 
 
-def region1(pair, volume, vacuum) -> list[Check]:
+def region1(pair, vacuum) -> list[Check]:
     """Wave-equation residual, frame consistency and energy drift over a cycle.
 
     Residual and energy are closed forms, so both bounds sit near rounding.
@@ -73,7 +74,7 @@ def region1(pair, volume, vacuum) -> list[Check]:
     ])
     return [
         _below("wave-equation residual", residual, 1e-12),
-        *frames(pair, None, volume, vacuum),
+        *frames(pair, None, vacuum),
         _below("energy drift over a cycle", drift, 1e-12),
     ]
 
@@ -96,7 +97,10 @@ def absorption(report, cfg) -> list[Check]:
     """No non-vacuum overlap, exactly one surviving field sector unless the
     two path amplitudes cancel and nothing is absorbed, and a scanned vacuum
     amplitude equal to the photon factor of eta for the atom cfg, to 1e-12 of
-    that factor's largest modulus sqrt(2 / k0)."""
+    that factor's largest modulus sqrt(2 / k0).  For the two-rung split photon
+    of split_photon_state the lowered state has one amplitude, so the first
+    two records read exactly 0 and 1 by construction; only a multi-photon
+    input could fail them."""
     records = [_below("largest non-vacuum overlap", report.largest_other, 1e-12)]
     if not report.amplitude_vanishes:
         count = report.nonzero_count

@@ -36,6 +36,13 @@ def _int_at_least(low: int):
     return integer
 
 
+def _nw_list(text: str) -> list[float]:
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected comma-separated numbers, e.g. 0,0.1,0.9") from None
+
+
 def _state_spec(text: str):
     kind, sep, value = text.partition(":")
     if not sep:
@@ -187,12 +194,7 @@ def cmd_classical(args) -> Run:
         intensities = rng.exponential(scale, args.samples)
     else:
         intensities = 2.0 * scale * rng.integers(0, 2, args.samples).astype(float)
-    ensemble = classical.GateIntensityEnsemble(
-        intensities=intensities,
-        gate_duration=args.gate,
-        alpha_t=args.eff_t,
-        alpha_r=args.eff_r,
-    )
+    ensemble = classical.GateIntensityEnsemble(intensities=intensities, alpha_t=args.eff_t, alpha_r=args.eff_r)
     p_t, p_r = classical.singles_probabilities(ensemble)
     p_c = classical.coincidence_probability(ensemble)
     alpha = classical.classical_alpha(ensemble)
@@ -202,7 +204,6 @@ def cmd_classical(args) -> Run:
         "law": args.law,
         "samples": args.samples,
         "scale": scale,
-        "gate_duration": args.gate,
         "alpha_t": args.eff_t,
         "alpha_r": args.eff_r,
     }
@@ -216,7 +217,7 @@ def cmd_classical(args) -> Run:
 
 # The cascade flags that override a --config file, and the keys they set.
 _CASCADE_FLAG_KEYS = {"f_target": "f_target", "points": "n_omega_values", "n_omega": "n_omega",
-                      "arrival": "arrival_mode", "accidental_collection": "accidental_collection"}
+                      "arrival": "arrival_mode"}
 
 
 def cmd_cascade(args) -> Run:
@@ -311,8 +312,7 @@ def cmd_beables(args) -> Run:
         pols = raw / np.linalg.norm(raw, axis=1, keepdims=True)
         vacuum = beables.VacuumModes.sample_ground_state(k_vectors, pols, rng)
     config = {"region": args.region, "amp_a": pair.amp_a, "amp_b": pair.amp_b, "k0": pair.k0,
-              "volume": args.volume, "samples": args.samples, "vacuum_modes": args.vacuum,
-              "check": bool(args.check)}
+              "samples": args.samples, "vacuum_modes": args.vacuum, "check": bool(args.check)}
     run = Run(config)
     if phi is None:
         config.update(phase_a=pair.phase_a, phase_b=pair.phase_b, periods=args.periods)
@@ -328,7 +328,7 @@ def cmd_beables(args) -> Run:
 
     if args.sweep:
         phis = np.linspace(0.0, 2.0 * math.pi, 72, endpoint=False)
-        i_c, i_d = beables.beam_intensity_curves(pair, phis, args.volume)
+        i_c, i_d = beables.beam_intensity_curves(pair, phis)
         run.tables.append(("visibility", ["phi", "i_c", "i_d"], list(zip(phis, i_c, i_d))))
         series = [
             svgplot.Series(x=list(phis), y=list(i_c), label="beam c"),
@@ -344,9 +344,9 @@ def cmd_beables(args) -> Run:
         s = np.linspace(0.0, 4.0 * math.pi / pair.k0, args.samples)
         points = s[:, None] * (np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0))
         if phi is None:
-            frame = beables.beables_region1(pair, points, 0.0, args.volume, vacuum)
+            frame = beables.beables_region1(pair, points, 0.0, vacuum=vacuum)
         else:
-            frame = beables.beables_region2(pair, phi, points, 0.0, args.volume, vacuum)
+            frame = beables.beables_region2(pair, phi, points, 0.0, vacuum=vacuum)
         columns = (frame.vector_potential, frame.electric_field, frame.magnetic_field, frame.intensity)
         field_rows = np.column_stack((s,) + columns).tolist()
         run.tables.append(("fields", _FIELD_HEADER, field_rows))
@@ -359,10 +359,7 @@ def cmd_beables(args) -> Run:
             title = "Divided-region beables along the beam diagonal"
             run.plots.append(("fields", series, dict(title=title, xlabel="s", ylabel="field")))
         if args.check:
-            run.checks = (
-                checks.region1(pair, args.volume, vacuum) if phi is None
-                else checks.frames(pair, phi, args.volume, vacuum)
-            )
+            run.checks = checks.region1(pair, vacuum) if phi is None else checks.frames(pair, phi, vacuum)
 
     if run.checks is not None:
         run.lines += _report(run.checks)
@@ -429,9 +426,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--law", choices=("constant", "uniform", "exponential", "two-point"), default="uniform")
     p.add_argument("--samples", type=_int_at_least(1), default=10000)
     p.add_argument("--scale", type=float, default=1.0, help="mean intensity scale")
-    p.add_argument("--gate", type=float, default=1.0, help="gate duration")
-    p.add_argument("--eff-t", type=float, default=0.1, help="transmitted detector coefficient")
-    p.add_argument("--eff-r", type=float, default=0.1, help="reflected detector coefficient")
+    p.add_argument("--eff-t", type=float, default=0.1, help="transmitted counts per unit intensity per gate")
+    p.add_argument("--eff-r", type=float, default=0.1, help="reflected counts per unit intensity per gate")
     p.set_defaults(func=cmd_classical)
 
     p = sub.add_parser("cascade", help="gated-cascade Monte Carlo versus the analytic ratio")
@@ -440,14 +436,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gates", type=_int_at_least(1), default=100000, help="gates per point")
     p.add_argument("--n-omega", type=float, default=None, help="single-point Nw")
     p.add_argument("--f-target", type=float, default=None, help="paired-photon arrival probability")
-    p.add_argument(
-        "--points",
-        type=lambda s: [float(x) for x in s.split(",")],
-        default=None,
-        help="comma-separated Nw sweep values",
-    )
+    p.add_argument("--points", type=_nw_list, default=None, help="comma-separated Nw sweep values")
     p.add_argument("--arrival", choices=("analytic", "physical"), default=None)
-    p.add_argument("--accidental-collection", type=float, default=None)
     p.set_defaults(func=cmd_cascade)
 
     p = sub.add_parser("beables", help="field-beable trajectories, maps, and checks")
@@ -456,7 +446,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--amp", type=float, default=1.0, help="mode amplitude")
     p.add_argument("--phase-b", type=float, default=0.0, help="second phase")
     p.add_argument("--k0", type=float, default=1.0, help="beam wavenumber")
-    p.add_argument("--volume", type=float, default=1.0)
     p.add_argument("--periods", type=float, default=1.0, help="trajectory length in cycles")
     p.add_argument("--samples", type=_int_at_least(1), default=257, help="spatial samples")
     p.add_argument("--vacuum", type=_int_at_least(0), default=0, help="number of background modes to sample")

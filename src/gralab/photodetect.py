@@ -67,11 +67,13 @@ def resonance_factor(e_mismatch, t: float):
 
 
 def mode_overlap_factor(cfg: DetectorAtomConfig) -> complex:
-    """Photon-sector factor (i - e^(i phi)) / sqrt(2 k0) of the amplitude.
+    """Photon-sector factor (1 + e^(i phi)) / sqrt(2 k0) of the amplitude.
 
-    Vanishes at phi = pi/2, where the two paths cancel at this detector.
+    Its squared modulus times k0 is 1 + cos phi, beam c's weight in
+    gralab.beables, so it vanishes at phi = pi, where the two paths cancel
+    at this detector.
     """
-    return (1j - np.exp(1j * cfg.phi)) / math.sqrt(2.0 * cfg.k0)
+    return (1.0 + np.exp(1j * cfg.phi)) / math.sqrt(2.0 * cfg.k0)
 
 
 def form_factor(k_en):
@@ -112,10 +114,10 @@ def resonant_wavenumber(cfg: DetectorAtomConfig) -> float:
 def split_photon_state(phi: float) -> list[np.ndarray]:
     """Single photon split over two paths with the interferometer phase.
 
-    Path amplitudes -e^(i phi) and i, each weighted 1/sqrt(2), fill rung 1
+    Path amplitudes e^(i phi) and 1, each weighted 1/sqrt(2), fill rung 1
     of the rungs 0 and 1 (amplitude j of rung k on |k-j>_t |j>_r).
     """
-    return [np.zeros(1, dtype=complex), np.array([-np.exp(1j * phi), 1j]) / math.sqrt(2.0)]
+    return [np.zeros(1, dtype=complex), np.array([np.exp(1j * phi), 1.0]) / math.sqrt(2.0)]
 
 
 @dataclass(frozen=True)

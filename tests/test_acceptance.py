@@ -84,15 +84,11 @@ def test_criterion_3_classical_bound(capsys):
             intensities = rng.exponential(1.0, size)
         if not np.any(intensities > 0.0):
             intensities[0] = 1.0
-        ensemble = classical.GateIntensityEnsemble(
-            intensities=intensities, gate_duration=0.01, alpha_t=0.1, alpha_r=0.1
-        )
+        ensemble = classical.GateIntensityEnsemble(intensities=intensities, alpha_t=0.001, alpha_r=0.001)
         value = classical.classical_alpha(ensemble)
         if value < 1.0 - 1e-12:
             failures.append(f"ensemble {i} alpha {value:.15f} below 1")
-    constant = classical.GateIntensityEnsemble(
-        intensities=np.full(50, 1.3), gate_duration=0.01, alpha_t=0.1, alpha_r=0.1
-    )
+    constant = classical.GateIntensityEnsemble(intensities=np.full(50, 1.3), alpha_t=0.001, alpha_r=0.001)
     if abs(classical.classical_alpha(constant) - 1.0) >= 1e-12:
         failures.append("constant ensemble not at equality")
     _report(capsys, 3, "semiclassical inequality", failures, time.perf_counter() - t0, 1.0)
@@ -202,7 +198,7 @@ def test_criterion_7_mode_dynamics(capsys):
             failures.append(f"{label} wave-equation residual {residual:.2e}")
         failures.extend(
             f"{label} {r.label} {r.value:.2e} (bound {r.bound:.1e})"
-            for r in checks.region1(candidate, 1.0, None)
+            for r in checks.region1(candidate, None)
             if not r.passed
         )
     _report(capsys, 7, "guided mode dynamics", failures, time.perf_counter() - t0, 10.0)

@@ -201,7 +201,6 @@ def test_volume_and_end_time_must_be_positive_and_finite(value):
         lambda: beables_region2(RIGID, 0.4, x, 0.5, volume=value),
         lambda: frame_consistency_region2(RIGID, 0.4, x, 0.5, volume=value),
         lambda: average_intensity(RIGID, 0.4, volume=value),
-        lambda: beam_intensity_curves(RIGID, [0.0, 1.0], volume=value),
     ):
         with pytest.raises(ValueError, match="volume"):
             call()
@@ -956,9 +955,9 @@ def test_energy_drift_check_catches_a_wrong_quantum_potential(monkeypatch, mutat
     # checks see the mutated ones.  Both mutations are conserved along
     # every orbit (|w| and rho^2 are), so only a drift measured from 3 k0
     # catches them.
-    assert all(record.passed for record in checks.region1(pair, 1.0, None))
+    assert all(record.passed for record in checks.region1(pair, None))
     monkeypatch.setattr("gralab.beables._potential_terms", mutation)
-    records = {record.label: record for record in checks.region1(pair, 1.0, None)}
+    records = {record.label: record for record in checks.region1(pair, None)}
     assert not records["energy drift over a cycle"].passed
     assert records["energy drift over a cycle"].value > 1e-2
 
@@ -979,7 +978,7 @@ def test_region1_checks_pass_at_every_amplitude(amp):
     # rho^2.  The frames failed at k0 1e8, probed at a point k0 x ~ 1e7;
     # there a pair refuses amp 1e150, whose k0^2 rho^2 overflows.
     for pair in [*_region1_pairs(amp), *(_region1_pairs(amp, k0=1e8) if amp < 1e150 else [])]:
-        assert all(record.passed for record in checks.region1(pair, 1.0, None))
+        assert all(record.passed for record in checks.region1(pair, None))
 
 
 @pytest.mark.parametrize(
@@ -1001,5 +1000,5 @@ def test_region1_checks_keep_their_power_at_every_amplitude(monkeypatch, name, m
     monkeypatch.setattr(f"gralab.beables.{name}", mutation)
     for amp, k0 in [*((amp, 1.0) for amp in amps), *((amp, 1e8) for amp in large_k0_amps)]:
         for pair in _region1_pairs(amp, k0):
-            record = next(r for r in checks.region1(pair, 1.0, None) if r.label == label)
+            record = next(r for r in checks.region1(pair, None) if r.label == label)
             assert not record.passed, (amp, pair)

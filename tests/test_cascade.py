@@ -708,13 +708,11 @@ _POINTS = st.lists(_EXTREME, min_size=1, max_size=3)
 # configuration key.  The gate defaults to twice the lifetime.
 _NAMES = {
     "lifetime": ("gate",),
-    "correlation_factor": ("correlation factor", "arrival probability"),
     "f_target": ("arrival probability",), "n_omega": ("Nw",), "n_omega_values": ("Nw",),
     "arrival_mode": ("arrival mode",),
 }
 _FLAGS = {
-    "f_target": "--f-target", "n_omega": "--n-omega", "accidental_collection": "--accidental-collection",
-    "n_omega_values": "--points", "arrival_mode": "--arrival",
+    "f_target": "--f-target", "n_omega": "--n-omega", "n_omega_values": "--points", "arrival_mode": "--arrival",
 }
 
 
@@ -751,7 +749,6 @@ def _run_cli(entries, overrides, sweep):
         optional={
             "f_target": _EXTREME,
             "n_omega": _EXTREME,
-            "accidental_collection": _EXTREME,
             "n_omega_values": _POINTS,
             "arrival_mode": st.sampled_from(["analytic", "physical"]),
         },

@@ -17,13 +17,8 @@ from gralab.classical import (
 )
 
 
-def _ensemble(intensities, gate=1.0, eff_t=0.1, eff_r=0.1):
-    return GateIntensityEnsemble(
-        intensities=np.asarray(intensities, dtype=float),
-        gate_duration=gate,
-        alpha_t=eff_t,
-        alpha_r=eff_r,
-    )
+def _ensemble(intensities, eff_t=0.1, eff_r=0.1):
+    return GateIntensityEnsemble(intensities=np.asarray(intensities, dtype=float), alpha_t=eff_t, alpha_r=eff_r)
 
 
 def test_constant_intensity_alpha_exactly_one():
@@ -35,11 +30,11 @@ def test_two_point_alpha_two():
 
 
 def test_probability_formulas():
-    ens = _ensemble([1.0, 3.0], gate=0.1, eff_t=0.2, eff_r=0.3)
+    ens = _ensemble([1.0, 3.0], eff_t=0.02, eff_r=0.03)
     p_t, p_r = singles_probabilities(ens)
-    assert np.abs(p_t - 0.2 * 0.1 * 2.0) < 1e-15
-    assert np.abs(p_r - 0.3 * 0.1 * 2.0) < 1e-15
-    assert np.abs(coincidence_probability(ens) - 0.2 * 0.3 * 0.01 * 5.0) < 1e-15
+    assert np.abs(p_t - 0.02 * 2.0) < 1e-15
+    assert np.abs(p_r - 0.03 * 2.0) < 1e-15
+    assert np.abs(coincidence_probability(ens) - 0.02 * 0.03 * 5.0) < 1e-15
 
 
 def test_alpha_never_below_one():
@@ -61,7 +56,7 @@ def test_alpha_never_below_one():
 def test_coincidence_at_least_product_of_singles():
     rng = np.random.default_rng(31)
     for _ in range(50):
-        ens = _ensemble(rng.exponential(1.0, 50), gate=0.1, eff_t=0.05, eff_r=0.05)
+        ens = _ensemble(rng.exponential(1.0, 50), eff_t=0.005, eff_r=0.005)
         p_t, p_r = singles_probabilities(ens)
         assert coincidence_probability(ens) >= p_t * p_r - 1e-15
 
@@ -77,7 +72,7 @@ def test_inadmissible_probabilities_are_flagged_without_a_warning():
     # `python -W error -m gralab.cli classical --scale 100` in a traceback.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ens = _ensemble(np.array([50.0, 150.0]), gate=1.0, eff_t=0.5, eff_r=0.5)
+        ens = _ensemble(np.array([50.0, 150.0]), eff_t=0.5, eff_r=0.5)
     assert ens.admissible is False
     assert classical_alpha(ens) >= 1.0
 
@@ -100,8 +95,6 @@ def test_invalid_inputs():
     with pytest.raises(ValueError):
         _ensemble([])
     with pytest.raises(ValueError):
-        _ensemble([1.0], gate=0.0)
-    with pytest.raises(ValueError):
         _ensemble([1.0], eff_t=-0.1)
 
 
@@ -121,19 +114,16 @@ def test_nonfinite_intensity_rejected(values, index, value):
         _ensemble(values)
 
 
-@given(name=st.sampled_from(["gate", "eff_t", "eff_r"]), value=NONFINITE)
-@example(name="gate", value=math.nan)
-def test_nonfinite_gate_or_coefficient_rejected(name, value):
+@given(name=st.sampled_from(["eff_t", "eff_r"]), value=NONFINITE)
+@example(name="eff_t", value=math.nan)
+def test_nonfinite_coefficient_rejected(name, value):
     with pytest.raises(ValueError):
         _ensemble([1.0, 2.0], **{name: value})
 
 
-@pytest.mark.parametrize(
-    "settings", [{"gate": 1e300}, {"eff_t": 1e300, "eff_r": 1e300}], ids=["gate", "coefficients"]
-)
+@pytest.mark.parametrize("settings", [{"eff_t": 1e300, "eff_r": 1e300}], ids=["coefficients"])
 def test_overflowing_probabilities_rejected(settings):
-    # w**2 used to raise OverflowError; an infinite probability is now named.
-    with pytest.raises(ValueError, match="count probabilities overflow at gate duration"):
+    with pytest.raises(ValueError, match="count probabilities overflow at detector coefficients"):
         _ensemble([1.0, 2.0], **settings)
 
 

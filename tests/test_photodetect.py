@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from gralab import beables
 from gralab.photodetect import (
     DetectorAtomConfig,
     absorption_matrix_element_check,
@@ -104,10 +105,10 @@ def test_resonant_amplitude_grows_linearly():
 
 
 def test_resonant_amplitude_value():
-    # coupling sqrt(2 pi), overlap magnitude 1 at phi = 0, form factor
+    # coupling sqrt(2 pi), overlap magnitude sqrt(2) at phi = 0, form factor
     # 2 sqrt(pi) at the resonant wavenumber, resonance factor -i t
     value = np.abs(eta(HYDROGEN, 1.0, 1.0))
-    assert np.abs(value - 2.0 * math.pi * math.sqrt(2.0)) < 1e-12
+    assert np.abs(value - 4.0 * math.pi) < 1e-12
 
 
 def test_mismatch_integral_scales_like_golden_rule():
@@ -133,11 +134,25 @@ def test_form_factor_decreasing():
 
 
 def test_overlap_factor_magnitudes():
-    assert np.abs(np.abs(mode_overlap_factor(HYDROGEN)) - 1.0) < 1e-15
-    dark = DetectorAtomConfig(phi=math.pi / 2.0)
+    assert np.abs(np.abs(mode_overlap_factor(HYDROGEN)) - math.sqrt(2.0)) < 1e-15
+    dark = DetectorAtomConfig(phi=math.pi)
     assert np.abs(mode_overlap_factor(dark)) < 1e-15
-    bright = DetectorAtomConfig(phi=-math.pi / 2.0)
-    assert np.abs(np.abs(mode_overlap_factor(bright)) - math.sqrt(2.0)) < 1e-15
+    quarter = DetectorAtomConfig(phi=-math.pi / 2.0)
+    assert np.abs(np.abs(mode_overlap_factor(quarter)) - 1.0) < 1e-15
+
+
+def test_phase_is_the_beables_phase():
+    # The squared overlap factor and the scanned vacuum amplitude, each times
+    # k0, read beam c's weight 1 + cos phi in gralab.beables, and so does
+    # beam c's share of the averaged intensity.
+    k0 = 2.5
+    phis = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)
+    i_c, i_d = beables.beam_intensity_curves(beables.ModePair.single_frequency(1.0, k0=k0), phis)
+    for phi, share in zip(phis, 2.0 * i_c / (i_c + i_d)):
+        factor = mode_overlap_factor(DetectorAtomConfig(k0=k0, phi=phi))
+        scanned = absorption_matrix_element_check(split_photon_state(phi), k0=k0).vacuum_amplitude
+        values = [abs(factor) ** 2 * k0, abs(scanned) ** 2 * k0, beables._weights(phi)[0], share]
+        assert max(values) - min(values) < 1e-12, (phi, values)
 
 
 def test_split_state_normalized():
@@ -151,7 +166,7 @@ def test_split_state_normalized():
 def test_selection_rule_vacuum_only():
     for phi in (0.0, 1.1, 2.0 * math.pi / 3.0):
         report = absorption_matrix_element_check(split_photon_state(phi))
-        expected = (1j - np.exp(1j * phi)) / math.sqrt(2.0)
+        expected = (1.0 + np.exp(1j * phi)) / math.sqrt(2.0)
         assert np.abs(report.vacuum_amplitude - expected) < 1e-12
         assert report.largest_other == 0.0
         assert report.nonzero_count == 1
@@ -159,7 +174,7 @@ def test_selection_rule_vacuum_only():
 
 
 def test_selection_rule_dark_fringe():
-    report = absorption_matrix_element_check(split_photon_state(math.pi / 2.0))
+    report = absorption_matrix_element_check(split_photon_state(math.pi))
     assert report.amplitude_vanishes
     assert report.nonzero_count == 0
     assert report.largest_other == 0.0
