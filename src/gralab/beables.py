@@ -8,11 +8,12 @@ magnetic, and intensity beables at spacetime points, in the divided region
 relative phase phi), together with the field quantum potential, the mode
 wave-equation residual, and the conserved energy.
 
-The beables come from one kernel.  A mode set holds the beams, the doubled
-beams that give sin^2 theta = (1 - cos 2 theta) / 2, and the background in one
-wave matrix, rate and phase vector, and one real block with the weights, the
-volume and the background's intensity cross term folded in.  A call makes one
-trig pass and one product; each pair keeps its last mode set for the next.
+The beables come from one kernel.  A mode set holds the beams, the doubled beams
+of sin^2 theta = (1 - cos 2 theta) / 2, the background and the zero wave as sines,
+a cosine a quarter turn on, in one wave matrix, rate and phase vector, and one
+real block with the weights, the volume and the intensity cross term folded in.
+A call makes one sine pass and one product; each pair keeps its last mode set,
+with the time offsets of its last float time, for the next.
 
 Natural units: hbar = c = 1 throughout, so neither appears in a signature
 or a formula; the wavenumber of the excited pair sets the frequency scale.
@@ -45,6 +46,7 @@ _Z_CROSS = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 # w sin theta and c = z x v / V, whose product the intensity loses.
 _A, _E, _B, _I = (slice(3 * i, 3 * i + 3) for i in range(4))
 _G, _C = 12, slice(13, 16)
+_QUARTER = math.pi / 2.0  # cos theta = sin(theta + pi/2): a cosine row's phase is this much less
 
 
 def _freeze(obj, **arrays) -> None:
@@ -101,12 +103,10 @@ class ModePair:
         if not k0 * k0 * (self.amp_a * self.amp_a + self.amp_b * self.amp_b) < math.inf:
             raise ValueError(f"mode amplitude {amp:g} at beam wavenumber {k0:g} overflows k0^2 rho^2")
         _freeze(self, k_a=k0 * _XHAT, k_b=k0 * _YHAT, pol_a=_ZHAT.copy(), pol_b=_ZHAT.copy())
-        object.__setattr__(self, "_memo", (None, None, None))
+        object.__setattr__(self, "_memo", (None,) * 5)
 
     @classmethod
-    def single_frequency(
-        cls, amp: float, phase_b: float = 0.0, k0: float = 1.0
-    ) -> "ModePair":
+    def single_frequency(cls, amp: float, phase_b: float = 0.0, k0: float = 1.0) -> "ModePair":
         """Equal-amplitude pair with a quarter-cycle phase offset.
 
         On this manifold both coordinates rotate rigidly at the mode
@@ -289,41 +289,43 @@ class BeableFrame:
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below, by name
 def _mode_set(pair, weights, volume, vacuum):
-    """(waves, rates, phases, block, bias) of the doubled beams, the beams at
-    weights (w_a, w_b) and the static background u = 2 Re(q e^(i k.x)) pol,
-    v = curl u: with theta = x @ waves - t rates - phases, the fields are
-    concat(cos theta, sin theta past the doubled beams) @ block + bias."""
-    flux, w = _flux(volume), np.array(weights)[:, None]
-    # Phases in [0, 2 pi), so that theta keeps the digits of a 1e-5 rad step.
-    phase = np.remainder([pair.phase_a, pair.phase_b], 2.0 * math.pi)
+    """(waves, rates, phases, block) of the doubled beams, the beams at weights
+    (w_a, w_b), the static background u = 2 Re(q e^(i k.x)) pol, v = curl u, and
+    the zero wave: with theta = x @ waves - t rates - phases, the fields are
+    sin(theta) @ block.  A cosine row is a sine row at a phase _QUARTER less."""
+    flux, w, turn = _flux(volume), np.array(weights)[:, None], 2.0 * math.pi
+    # Phases in [0, 2 pi), reduced before they are doubled or shifted and
+    # again after, so that theta keeps the digits of a 1e-5 rad step.
+    phase = np.remainder([pair.phase_a, pair.phase_b], turn)
     amp = np.array([[pair.amp_a], [pair.amp_b]])
     k, pol = np.stack([pair.k_a, pair.k_b]), np.stack([pair.pol_a, pair.pol_b])
     rate = w[:, 0] / (4.0 * amp[:, 0] ** 2)
     m, width = (0, 12) if vacuum is None else (len(vacuum.coords), 16)
-    # Rows cos 2 theta, cos theta and cos k.x, then sin theta and sin k.x;
-    # w sin^2 theta k / V is the bias w k / 2V less the cos 2 theta rows.
-    cos, sin, bias = np.zeros((4 + m, width)), np.zeros((2 + m, width)), np.zeros(width)
-    cos[0:2, _I], bias[_I] = -0.5 * w * k, 0.5 * flux * (w * k).sum(axis=0)
+    # Rows cos 2 theta, cos theta, cos k.x and the bias cos 0, then sin theta and
+    # sin k.x; w sin^2 theta k / V is the bias w k / 2V less the cos 2 theta rows.
+    block = np.zeros((7 + 2 * m, width))
+    cos, sin = block[: 5 + m], block[5 + m :]
+    cos[0:2, _I], cos[-1, _I] = -0.5 * w * k, 0.5 * (w * k).sum(axis=0)
     cos[2:4, _A] = 2.0 * amp * pol
     sin[0:2, _E] = -w / (2.0 * amp) * pol
     sin[0:2, _B] = -2.0 * amp * np.cross(k, pol)
-    waves, rates, phases = [2.0 * k, k], [2.0 * rate, rate, np.zeros(m)], [2.0 * phase, phase, np.zeros(m)]
     if vacuum is not None:
         q, curl = vacuum.coords[:, None], np.cross(vacuum.k_vectors, vacuum.pols)
         # q e^(i k.x) = (Re q cos - Im q sin) + i (Im q cos + Re q sin).
-        for rows, re, im in ((cos[4:], q.real, q.imag), (sin[2:], -q.imag, q.real)):
+        for rows, re, im in ((cos[4:-1], q.real, q.imag), (sin[2:], -q.imag, q.real)):
             rows[:, _A], rows[:, _B] = 2.0 * re * vacuum.pols, -2.0 * im * curl
             rows[:, _C] = flux * rows[:, _B] @ _Z_CROSS
         sin[0:2, _G] = w[:, 0]
-        waves.append(vacuum.k_vectors)
-    block = np.concatenate((cos, sin))
     block[:, _I] *= flux  # and A, E, B below carry 1 / sqrt(V)
     block[:, :9] *= math.sqrt(flux)
     # A field is at most its column's sum; a norm sums 3 squares, the cross term is a product.
-    peak = float(np.abs(block).sum(axis=0).max() + np.abs(bias).max())
+    peak = float(np.abs(block).sum(axis=0).max())
     if not 3.0 * peak * peak < math.inf:
         raise ValueError(f"quantization volume {volume:g} overflows the fields at k0 {pair.k0:g}")
-    return np.concatenate(waves).T.copy(), np.concatenate(rates), np.concatenate(phases), block, bias
+    still, k_vac = np.zeros(m), (np.zeros((0, 3)) if vacuum is None else vacuum.k_vectors)
+    cos_phases = np.remainder(np.r_[np.remainder(2.0 * phase, turn), phase, still, 0.0] - _QUARTER, turn)
+    waves = np.concatenate([2.0 * k, k, k_vac, np.zeros((1, 3)), k, k_vac]).T.copy()
+    return waves, np.r_[2.0 * rate, rate, still, 0.0, rate, still], np.r_[cos_phases, phase, still], block
 
 
 def _frames(pair, weights, x, t, volume, vacuum) -> BeableFrame:
@@ -332,17 +334,18 @@ def _frames(pair, weights, x, t, volume, vacuum) -> BeableFrame:
     A weight scales its beam's frequency, electric field and intensity:
     (1, 1) is the divided region, (1 + cos phi, 1 - cos phi) the recombined
     one.  Points x have shape (..., 3) and times t broadcast against x[..., 0].
-    The memo is one tuple, read once, and it holds its background alive, so
-    a concurrent call sees a whole entry and the identity test is safe.
+    The memo is one tuple, read once: a mode set, its background held alive,
+    and the offsets t rates + phases of the last float t, which an array of
+    times recomputes alike.  A concurrent call sees an offset with its own set.
     """
     key, memo = (weights, volume), pair._memo
     if memo[1] is not vacuum or memo[0] != key:
         # _mode_set refuses a bad volume, so none is ever memoised.
-        memo = (key, vacuum, _mode_set(pair, weights, volume, vacuum))
-        object.__setattr__(pair, "_memo", memo)
-    waves, rates, phases, block, bias = memo[2]
-    theta = np.asarray(x, dtype=float) @ waves - np.multiply.outer(t, rates) - phases
-    out = np.concatenate((np.cos(theta), np.sin(theta[..., 2:])), axis=-1) @ block + bias
+        memo = (key, vacuum, _mode_set(pair, weights, volume, vacuum), None, None)
+    waves, rates, phases, block = memo[2]
+    offset = memo[4] if isinstance(t, float) and memo[3] == t else np.multiply.outer(t, rates) + phases
+    object.__setattr__(pair, "_memo", (*memo[:3], t, offset) if isinstance(t, float) else memo)
+    out = np.sin(np.asarray(x, dtype=float).dot(waves) - offset) @ block
     intensity = out[..., _I]
     if vacuum is not None:
         intensity = intensity - out[..., _G, None] * out[..., _C]
@@ -399,11 +402,8 @@ def visibility(curve) -> float:
         raise EmptyCurve("visibility needs at least one sample")
     if np.any(arr < 0.0):
         raise ValueError("intensities must be nonnegative")
-    hi = float(arr.max())
-    lo = float(arr.min())
-    if hi + lo == 0.0:
-        return 0.0
-    return (hi - lo) / (hi + lo)
+    hi, lo = float(arr.max()), float(arr.min())
+    return (hi - lo) / (hi + lo) if hi + lo else 0.0
 
 
 def _guiding(q_a, q_b):

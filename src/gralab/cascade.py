@@ -497,8 +497,8 @@ def alpha_stderr(rec: CountRecord) -> float:
 @dataclass(frozen=True)
 class SweepPoint:
     """One point of a measured ratio curve, with the vanishing-efficiency
-    curve (alpha_analytic) and the exact ratio at the run's arm
-    efficiencies (alpha_exact) that the measurement converges to."""
+    curve at the collected Nw c (alpha_analytic) and the exact ratio at the
+    run's arm efficiencies (alpha_exact) that the measurement converges to."""
 
     n_omega: float
     alpha_mc: float
@@ -548,7 +548,7 @@ def sweep_curve(template: CascadeConfig, n_omega_values) -> list[SweepPoint]:
             SweepPoint(
                 n_omega=x,
                 alpha_mc=measured_alpha(rec),
-                alpha_analytic=g2_analytic(x, f),
+                alpha_analytic=g2_analytic(x * cfg.accidental_collection, f),
                 stderr=alpha_stderr(rec),
                 gates=rec.total_gates,
                 alpha_exact=exact_alpha(cfg),

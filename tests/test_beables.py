@@ -776,6 +776,48 @@ def test_mode_set_memo_never_serves_a_stale_block():
     assert [field.name for field in dataclasses.fields(pair)] == ["amp_a", "amp_b", "phase_a", "phase_b", "k0"]
 
 
+def test_time_offset_slot_never_serves_a_stale_frame():
+    # A pair keeps the offsets of its last float time beside its mode set.
+    # Through every change of time, time type, weights, volume and
+    # background, in both orders, its frames must equal a fresh pair's.
+    def fresh():
+        return ModePair(amp_a=0.9, amp_b=1.2, phase_a=2.0, phase_b=0.3)
+
+    vac = _sample_vacuum(n=4, seed=71)
+    points = np.random.default_rng(73).uniform(-3.0, 3.0, (5, 3))
+    times = [1.7, np.float64(1.7), 1.7 + 1e-12, 2, 2.0, np.array(2.0), np.array([1.7]), 3.1, -0.0, 0]
+    settings = [(None, 1.0, None), (0.4, 1.0, None), (0.4, 2.5, None), (0.4, 2.5, vac), (None, 2.5, vac)]
+    calls = [(t, setting) for t in times for setting in settings]
+
+    def build(pair, call):
+        t, (phi, volume, vacuum) = call
+        if phi is None:
+            return beables_region1(pair, points, t, volume, vacuum)
+        return beables_region2(pair, phi, points, t, volume, vacuum)
+
+    want = [build(fresh(), call) for call in calls]
+    pair = fresh()
+    for i, j in np.ndindex(len(calls), len(calls)):
+        for k in (i, j):
+            got = build(pair, calls[k])
+            for name in FIELDS:
+                assert np.array_equal(getattr(got, name), getattr(want[k], name)), (calls[k], name)
+    # A float time gives the fields of the same time in any scalar or array form.
+    for setting in settings:
+        for t in (1.7, -0.0, 2.0):
+            one = build(pair, (t, setting))
+            for same in (np.float64(t), np.array(t), np.array([t]), np.full(len(points), t)):
+                for name in FIELDS:
+                    assert np.array_equal(getattr(build(pair, (same, setting)), name), getattr(one, name))
+            if t == 2.0:
+                assert np.array_equal(build(pair, (2, setting)).intensity, one.intensity)
+        # One point, with a float or a 0-d time.
+        x = points[0]
+        for name in FIELDS:
+            single = getattr(beables_region1(pair, x, 1.7, setting[1], setting[2]), name)
+            assert np.array_equal(getattr(beables_region1(pair, x, np.array(1.7), setting[1], setting[2]), name), single)
+
+
 # Test-only reference: the field quantum potential of any modulus by
 # central finite differences, -(1 / 2R) sum_i w_i d2R/dq_i* dq_i with the
 # mixed derivative a quarter of the flat Laplacian over the real and
@@ -943,9 +985,9 @@ def _flipped_gradient_pull(pair, q_a, q_b):
 
 
 def _flipped_electric_block(pair, weights, volume, vacuum):
-    waves, rates, phases, block, bias = _mode_set(pair, weights, volume, vacuum)
+    waves, rates, phases, block = _mode_set(pair, weights, volume, vacuum)
     block[:, beables._E] *= -1.0
-    return waves, rates, phases, block, bias
+    return waves, rates, phases, block
 
 
 @pytest.mark.parametrize("mutation", [_flipped_sign, _no_oscillator], ids=["flipped-sign", "no-oscillator"])
@@ -989,8 +1031,10 @@ def test_region1_checks_pass_at_every_amplitude(amp):
         ("_quantum_gradient", _flipped_gradient_pull, "wave-equation residual", [1.0, 1e3, 1e8, 1e30, 1e100], []),
         ("_potential_terms", _doubled_pull, "energy drift over a cycle", [1.0, 1e3, 1e8, 1e30, 1e150], []),
         ("_mode_set", _flipped_electric_block, "E vs -(1/c) dA/dt", [1.0, 1e8, 1e31, 1e40, 1e150], [1.0, 1e8, 1e40]),
+        # Cosine rows a quarter turn on, not back: every cosine, and so A, flips sign.
+        ("_QUARTER", -math.pi / 2.0, "E vs -(1/c) dA/dt", [1.0, 1e8, 1e31, 1e40, 1e150], [1.0, 1e8, 1e40]),
     ],
-    ids=["pull-sign", "doubled-pull", "electric-block-sign"],
+    ids=["pull-sign", "doubled-pull", "electric-block-sign", "cosine-shift-sign"],
 )
 def test_region1_checks_keep_their_power_at_every_amplitude(monkeypatch, name, mutation, label, amps, large_k0_amps):
     # Each check used to pass its mutant from some amplitude on: the

@@ -308,6 +308,24 @@ def test_sweep_deterministic_with_exact_zero_point():
         assert p.gates == 20000
 
 
+def test_sweep_analytic_column_counts_only_collected_accidentals():
+    # Of the N w accidentals a gate sees, a fraction c reaches the splitter,
+    # so the vanishing-efficiency column is g2_analytic(Nw c, f), which
+    # alpha_exact approaches as the arm efficiencies go to 0.  It read
+    # g2_analytic(Nw, f) whatever c: 0.331 at Nw 0.2 and c 0.5, where
+    # alpha_exact reads 0.190.
+    values, f = [0.0, 0.2, 0.9, 3.0], f_omega(_config())
+    gaps = []
+    for eps in (1e-2, 1e-3):
+        template = _config(accidental_collection=0.5, epsilon_t=eps, epsilon_r=eps, target_gates=200000)
+        points = sweep_curve(template, values)
+        assert [p.alpha_analytic for p in points] == [g2_analytic(0.5 * x, f) for x in values]
+        gaps.append([abs(p.alpha_exact / p.alpha_analytic - 1.0) for p in points[1:]])
+    # The leading correction is linear in the efficiency.
+    for coarse, fine in zip(*gaps):
+        assert 9.0 < coarse / fine < 11.0
+
+
 def test_sweep_zero_point_does_not_depend_on_other_points():
     # The template's rate must not reach the Nw = 0 point: under a run_time
     # stop it would set that point's gate count as well as its source time.
