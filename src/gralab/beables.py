@@ -153,10 +153,20 @@ def region1_equations_of_motion(q_a: complex, q_b: complex) -> tuple[complex, co
     denominator vanishes, to 1e-12 of the larger coordinate's modulus.
     """
     denom = q_a - 1j * q_b
-    if abs(denom) <= 1e-12 * max(abs(q_a), abs(q_b)):
-        raise SingularDenominator("q_a - i q_b vanished")
-    common = 0.5 / denom
+    common = _pull(denom.conjugate(), (q_a + 1j * q_b).conjugate())
     return 1j * common, common
+
+
+def _pull(w: complex, v: complex) -> complex:
+    """The common velocity c = 0.5 / conj(w) of the equations of motion, from
+    w = q_a* + i q_b* and v = q_a* - i q_b*: dq_a*/dt = i c and dq_b*/dt = c,
+    so w moves at 2 i c and v not at all.  Raises SingularDenominator where
+    |w| = |q_a - i q_b| is at most 1e-12 of max(|q_a|, |q_b|), that is of
+    max(|w + v|, |w - v|) / 2; both are at most (|w| + |v|) / 2, so only
+    |w| <= 1e-12 |v| needs the full test."""
+    if abs(w) <= 1e-12 * abs(v) and abs(w) <= 0.5e-12 * max(abs(w + v), abs(w - v)):
+        raise SingularDenominator("q_a - i q_b vanished")
+    return 0.5 / w.conjugate()
 
 
 def _start(pair: ModePair):
@@ -202,30 +212,29 @@ def integrate_region1(pair: ModePair, t_end: float) -> ModeTrajectory:
     """
     if not 0.0 <= t_end < math.inf:
         raise ValueError("end time must be nonnegative and finite")
-    a0, b0, _, omega_turn = _start(pair)
+    a0, b0, w0, omega_turn = _start(pair)
     dt = 2.0 * math.pi / max(*mode_frequencies(pair), omega_turn) / 1000.0
     if not t_end / dt <= 1e6:
         raise ValueError(f"end time {t_end:g} needs more than a million RK4 steps of {dt:.3e}")
 
-    def deriv(y_a: complex, y_b: complex) -> tuple[complex, complex]:
-        return region1_equations_of_motion(y_a.conjugate(), y_b.conjugate())
-
+    # Only w = q_a* + i q_b* moves, at 2 i c: v = q_a* - i q_b* stays put.  RK4
+    # commutes with this change of variables, so stepping w alone gives the
+    # two-coordinate iterates up to rounding, at a third of their cost.
     # Python complex scalars: a step costs a quarter of one on 2-element arrays.
-    y_a, y_b = complex(a0), complex(b0)
-    path_a, path_b = [y_a], [y_b]
+    w, v = complex(w0), complex(a0 - 1j * b0)
+    path = [w]
     n = 0 if t_end == 0.0 else max(1, math.ceil(t_end / dt))
     h = t_end / n if n else 0.0
+    half, full = 1j * h, 2j * h  # a half step and a step of w' = 2 i c, per unit c
     for _ in range(n):
-        k1a, k1b = deriv(y_a, y_b)
-        k2a, k2b = deriv(y_a + 0.5 * h * k1a, y_b + 0.5 * h * k1b)
-        k3a, k3b = deriv(y_a + 0.5 * h * k2a, y_b + 0.5 * h * k2b)
-        k4a, k4b = deriv(y_a + h * k3a, y_b + h * k3b)
-        y_a = y_a + (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-        y_b = y_b + (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-        path_a.append(y_a)
-        path_b.append(y_b)
-
-    return ModeTrajectory(np.linspace(0.0, t_end, n + 1), np.conj(path_a), np.conj(path_b))
+        c1 = _pull(w, v)
+        c2 = _pull(w + half * c1, v)
+        c3 = _pull(w + half * c2, v)
+        c4 = _pull(w + full * c3, v)
+        w = w + (full / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+        path.append(w)
+    path = np.array(path)
+    return ModeTrajectory(np.linspace(0.0, t_end, n + 1), np.conj(0.5 * (path + v)), np.conj(-0.5j * (path - v)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,7 +283,7 @@ class VacuumModes:
         return cls(k_vectors=k_vectors, pols=pols, coords=coords)
 
 
-@dataclass
+@dataclass(slots=True)
 class BeableFrame:
     """Local field beables at a spacetime point, or at an array of them.
 
@@ -328,24 +337,35 @@ def _mode_set(pair, weights, volume, vacuum):
     return waves, np.r_[2.0 * rate, rate, still, 0.0, rate, still], np.r_[cos_phases, phase, still], block
 
 
-def _frames(pair, weights, x, t, volume, vacuum) -> BeableFrame:
-    """Beables of the two beams with weights (w_a, w_b) plus the background.
+def _frames(pair, phi, x, t, volume, vacuum) -> BeableFrame:
+    """Beables of the two beams, weighted as _weights(phi), plus the background.
 
     A weight scales its beam's frequency, electric field and intensity:
     (1, 1) is the divided region, (1 + cos phi, 1 - cos phi) the recombined
     one.  Points x have shape (..., 3) and times t broadcast against x[..., 0].
-    The memo is one tuple, read once: a mode set, its background held alive,
-    and the offsets t rates + phases of the last float t, which an array of
-    times recomputes alike.  A concurrent call sees an offset with its own set.
+    The memo is one tuple, read once: the mode set of a phase and volume, its
+    background held alive, and the offsets t rates + phases of the last float
+    t, which an array of times recomputes alike.  It is written only when it
+    changes, and a concurrent call sees an offset with its own set.
     """
-    key, memo = (weights, volume), pair._memo
-    if memo[1] is not vacuum or memo[0] != key:
-        # _mode_set refuses a bad volume, so none is ever memoised.
-        memo = (key, vacuum, _mode_set(pair, weights, volume, vacuum), None, None)
+    key, memo = (phi, volume), pair._memo
+    changed = memo[1] is not vacuum or memo[0] != key
+    if changed:
+        # _weights and _mode_set refuse a bad phase or volume, so none is ever
+        # memoised; the key holds their values, not a 0-d array changed later.
+        mode_set = _mode_set(pair, _weights(phi), volume, vacuum)
+        memo = ((phi if phi is None else float(phi), float(volume)), vacuum, mode_set, None, None)
     waves, rates, phases, block = memo[2]
-    offset = memo[4] if isinstance(t, float) and memo[3] == t else np.multiply.outer(t, rates) + phases
-    object.__setattr__(pair, "_memo", (*memo[:3], t, offset) if isinstance(t, float) else memo)
-    out = np.sin(np.asarray(x, dtype=float).dot(waves) - offset) @ block
+    if isinstance(t, float) and memo[3] == t:
+        offset = memo[4]
+    else:
+        offset = np.multiply.outer(t, rates) + phases
+        if isinstance(t, float):
+            memo, changed = (*memo[:3], t, offset), True
+    if changed:
+        object.__setattr__(pair, "_memo", memo)
+    theta = np.asarray(x, dtype=float).dot(waves) - offset
+    out = np.sin(theta, out=theta) @ block
     intensity = out[..., _I]
     if vacuum is not None:
         intensity = intensity - out[..., _G, None] * out[..., _C]
@@ -363,7 +383,7 @@ def beables_region1(
     array of shape (..., 3), with times t broadcast against x[..., 0].  The
     background's intensity cross term is taken against the beams' polarization z.
     """
-    return _frames(pair, _weights(None), x, t, volume, vacuum)
+    return _frames(pair, None, x, t, volume, vacuum)
 
 
 def beables_region2(
@@ -378,7 +398,7 @@ def beables_region2(
     At phi = pi/2 both weights are 1 and the frame is the divided region's.
     Points and times batch as in beables_region1.
     """
-    return _frames(pair, _weights(phi), x, t, volume, vacuum)
+    return _frames(pair, phi, x, t, volume, vacuum)
 
 
 def beam_intensity_curves(pair: ModePair, phis) -> tuple[np.ndarray, np.ndarray]:
@@ -514,7 +534,7 @@ def _frame_consistency(pair, phi, x, t, volume, vacuum):
     # passes through zero do not blow up the relative error.
     x, weights = np.asarray(x, dtype=float), _weights(phi)
     h_t, h_x = _STEP / max(mode_frequencies(pair, phi=phi)), _STEP / pair.k0
-    frames = _frames(pair, weights, x + h_x * _POINT_SHIFTS, t + h_t * _TIME_SHIFTS, volume, vacuum)
+    frames = _frames(pair, phi, x + h_x * _POINT_SHIFTS, t + h_t * _TIME_SHIFTS, volume, vacuum)
     a = frames.vector_potential
     e_field = frames.electric_field[0]
     b_field = frames.magnetic_field[0]

@@ -293,16 +293,25 @@ def _report(results: list[checks.Check]) -> list[str]:
 def cmd_beables(args) -> Run:
     if args.sweep and args.region == 1:
         raise ValueError("--sweep is the region-2 phase sweep and needs --region 2")
+    # A flag the run would not read is refused, not ignored; None is a flag not given.
+    if args.periods is not None and args.region == 2:
+        raise ValueError("--periods sets the region-1 trajectory and is not read in region 2")
+    for flag, value in (("--samples", args.samples), ("--vacuum", args.vacuum)):
+        if value is not None and args.sweep:
+            raise ValueError(f"{flag} sets the field map, which --sweep does not draw")
+    periods = 1.0 if args.periods is None else args.periods
+    samples = 257 if args.samples is None else args.samples
+    n_vacuum = args.vacuum or 0
     pair = beables.ModePair.single_frequency(args.amp, phase_b=args.phase_b, k0=args.k0)
     # The divided region is phi None, as in gralab.beables and gralab.checks.
     phi = None if args.region == 1 else args.phi
     if not (phi is None or math.isfinite(phi)):  # a sweep reads no phase, but records it
         raise ValueError("interferometer phase must be finite")
     vacuum = None
-    if args.vacuum > 0:
+    if n_vacuum > 0:
         rng = np.random.Generator(np.random.PCG64(args.seed))
         # Background modes share the beam wavenumber, tilted off both beams.
-        angles = np.linspace(0.2, 1.2, args.vacuum)
+        angles = np.linspace(0.2, 1.2, n_vacuum)
         k_vectors = pair.k0 * np.stack(
             [np.cos(angles), np.sin(angles) / math.sqrt(2.0), np.sin(angles) / math.sqrt(2.0)],
             axis=1,
@@ -312,12 +321,12 @@ def cmd_beables(args) -> Run:
         pols = raw / np.linalg.norm(raw, axis=1, keepdims=True)
         vacuum = beables.VacuumModes.sample_ground_state(k_vectors, pols, rng)
     config = {"region": args.region, "amp_a": pair.amp_a, "amp_b": pair.amp_b, "k0": pair.k0,
-              "samples": args.samples, "vacuum_modes": args.vacuum, "check": bool(args.check)}
+              "samples": samples, "vacuum_modes": n_vacuum, "check": bool(args.check)}
     run = Run(config)
     if phi is None:
-        config.update(phase_a=pair.phase_a, phase_b=pair.phase_b, periods=args.periods)
+        config.update(phase_a=pair.phase_a, phase_b=pair.phase_b, periods=periods)
         omega = max(beables.mode_frequencies(pair))
-        trajectory = beables.integrate_region1(pair, args.periods * 2.0 * math.pi / omega)
+        trajectory = beables.integrate_region1(pair, periods * 2.0 * math.pi / omega)
         rows = [
             [t, q_a.real, q_a.imag, q_b.real, q_b.imag]
             for t, q_a, q_b in zip(trajectory.times, trajectory.q_a, trajectory.q_b)
@@ -341,7 +350,7 @@ def cmd_beables(args) -> Run:
             run.checks = checks.fringes(i_c, i_d)
     else:
         # Frames along the diagonal of the beams, x and y, from one batched call.
-        s = np.linspace(0.0, 4.0 * math.pi / pair.k0, args.samples)
+        s = np.linspace(0.0, 4.0 * math.pi / pair.k0, samples)
         points = s[:, None] * (np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0))
         if phi is None:
             frame = beables.beables_region1(pair, points, 0.0, vacuum=vacuum)
@@ -446,9 +455,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--amp", type=float, default=1.0, help="mode amplitude")
     p.add_argument("--phase-b", type=float, default=0.0, help="second phase")
     p.add_argument("--k0", type=float, default=1.0, help="beam wavenumber")
-    p.add_argument("--periods", type=float, default=1.0, help="trajectory length in cycles")
-    p.add_argument("--samples", type=_int_at_least(1), default=257, help="spatial samples")
-    p.add_argument("--vacuum", type=_int_at_least(0), default=0, help="number of background modes to sample")
+    p.add_argument("--periods", type=float, help="region 1: trajectory length in cycles (default 1)")
+    p.add_argument("--samples", type=_int_at_least(1), help="field-map samples (default 257)")
+    p.add_argument("--vacuum", type=_int_at_least(0), help="field-map background modes to sample (default 0)")
     p.add_argument("--sweep", action="store_true", help="region 2: phase sweep and visibility")
     p.add_argument("--check", action="store_true", help="run consistency checks")
     p.set_defaults(func=cmd_beables)

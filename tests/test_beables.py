@@ -1,8 +1,11 @@
 """Mode dynamics, local field beables, and the quantum potential."""
 
+import contextlib
 import dataclasses
+import itertools
 import math
 import re
+import types
 
 import numpy as np
 import pytest
@@ -284,6 +287,132 @@ def test_integrator_rejects_singular_start():
         integrate_region1(
             ModePair(amp_a=1.0, amp_b=1.0, phase_a=-math.pi / 2.0, phase_b=0.0), 1.0
         )
+
+
+# Test-side reference: the equations of motion as one formula in both
+# coordinates, and classical RK4 on both starred coordinates with four calls
+# of it a step, at the library's step.  The library steps only their
+# combination w = q_a* + i q_b*, which RK4 treats alike up to rounding.
+def _reference_equations_of_motion(q_a, q_b):
+    denom = q_a - 1j * q_b
+    if abs(denom) <= 1e-12 * max(abs(q_a), abs(q_b)):
+        raise SingularDenominator("q_a - i q_b vanished")
+    common = 0.5 / denom
+    return 1j * common, common
+
+
+def _reference_rk4(pair, t_end):
+    """(times, q_a, q_b) of the two-coordinate RK4 over [0, t_end]."""
+    a0 = pair.amp_a * np.exp(1j * pair.phase_a)
+    b0 = pair.amp_b * np.exp(1j * pair.phase_b)
+    dt = 2.0 * math.pi / max(*mode_frequencies(pair), 1.0 / abs(a0 + 1j * b0) ** 2) / 1000.0
+
+    def deriv(y_a, y_b):
+        return _reference_equations_of_motion(y_a.conjugate(), y_b.conjugate())
+
+    y_a, y_b = complex(a0), complex(b0)
+    path_a, path_b = [y_a], [y_b]
+    n = 0 if t_end == 0.0 else max(1, math.ceil(t_end / dt))
+    h = t_end / n if n else 0.0
+    for _ in range(n):
+        k1a, k1b = deriv(y_a, y_b)
+        k2a, k2b = deriv(y_a + 0.5 * h * k1a, y_b + 0.5 * h * k1b)
+        k3a, k3b = deriv(y_a + 0.5 * h * k2a, y_b + 0.5 * h * k2b)
+        k4a, k4b = deriv(y_a + h * k3a, y_b + h * k3b)
+        y_a = y_a + (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+        y_b = y_b + (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+        path_a.append(y_a)
+        path_b.append(y_b)
+    return np.linspace(0.0, t_end, n + 1), np.conj(path_a), np.conj(path_b)
+
+
+def _reference_gap(pair, periods):
+    """Largest distance of integrate_region1 from the reference over a number
+    of the step's periods (a thousand steps each), relative to the amplitude."""
+    t_end = periods * 2.0 * math.pi / max(*mode_frequencies(pair), beables._start(pair)[3])
+    traj = integrate_region1(pair, t_end)
+    times, q_a, q_b = _reference_rk4(pair, t_end)
+    assert np.array_equal(traj.times, times)
+    return max(np.abs(traj.q_a - q_a).max(), np.abs(traj.q_b - q_b).max()) / max(pair.amp_a, pair.amp_b)
+
+
+REFERENCE_PAIRS = {
+    "rigid": RIGID,
+    "tilted": TILTED,
+    "amp1e-13": ModePair.single_frequency(1e-13),
+    "amp1e8": ModePair(amp_a=1e8, amp_b=1e8, phase_a=0.4, phase_b=-1.1),
+}
+
+
+@pytest.mark.parametrize("periods", [0.0, 3e-4, 3.0], ids=["zero", "part-step", "three-periods"])
+@pytest.mark.parametrize("name", sorted(REFERENCE_PAIRS))
+def test_integrator_matches_the_two_coordinate_reference(name, periods):
+    assert _reference_gap(REFERENCE_PAIRS[name], periods) <= 1e-13
+
+
+def _eom_mismatches(count=400, seed=83):
+    """Random coordinates, over 300 decades and as Python and numpy complex,
+    at which region1_equations_of_motion differs in any bit from the reference."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-150.0, 150.0, (count, 1))
+    coords = scale * (rng.standard_normal((count, 2)) + 1j * rng.standard_normal((count, 2)))
+    misses = []
+    for i, (q_a, q_b) in enumerate(coords):
+        if i % 2:
+            q_a, q_b = complex(q_a), complex(q_b)
+        if repr(region1_equations_of_motion(q_a, q_b)) != repr(_reference_equations_of_motion(q_a, q_b)):
+            misses.append((q_a, q_b))
+    return misses
+
+
+def test_equations_of_motion_equal_the_two_coordinate_formula():
+    assert _eom_mismatches() == []
+
+
+@settings(max_examples=300)
+@given(
+    log_ratio=st.floats(-20.0, 2.0),
+    log_v=st.floats(-100.0, 100.0),
+    turns=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    v_vanishes=st.booleans(),
+)
+@example(log_ratio=math.log10(5e-13), log_v=0.0, turns=(0.0, 0.0), v_vanishes=False)
+@example(log_ratio=math.log10(5.0000001e-13), log_v=0.0, turns=(0.0, 0.5), v_vanishes=False)
+@example(log_ratio=-12.0, log_v=3.0, turns=(0.25, 0.75), v_vanishes=False)
+@example(log_ratio=-20.0, log_v=0.0, turns=(0.0, 0.0), v_vanishes=True)
+def test_pull_skips_only_tests_that_cannot_refuse(log_ratio, log_v, turns, v_vanishes):
+    # |w| / |v| from 1e-20 to 1e2 at random phases, and v = 0, as on the rigid
+    # manifold: _pull refuses exactly where the full rule does.
+    v = 0j if v_vanishes else 10.0**log_v * complex(math.cos(2 * math.pi * turns[1]), math.sin(2 * math.pi * turns[1]))
+    w = 10.0 ** (log_v + log_ratio) * complex(math.cos(2 * math.pi * turns[0]), math.sin(2 * math.pi * turns[0]))
+    for w in (w, 0j):
+        if abs(w) <= 0.5e-12 * max(abs(w + v), abs(w - v)):
+            with pytest.raises(SingularDenominator):
+                beables._pull(w, v)
+        else:
+            assert beables._pull(w, v) == 0.5 / w.conjugate()
+
+
+@pytest.mark.parametrize(
+    "mutant, reference_pair, criterion_failure",
+    [
+        # The pull taken a little way along v, as if v moved with w: only off
+        # the rigid manifold, where v is not 0, and there the kinetic energy.
+        (lambda w, v: 0.5 / (w + 1e-3 * v).conjugate(), "tilted", "offset energy drift"),
+        # w turned backwards: the orbit, though not the fitted |frequency|.
+        (lambda w, v: -0.5 / w.conjugate(), "rigid", "integrated orbit off the closed solution"),
+    ],
+    ids=["v-in-the-pull", "flipped-pull"],
+)
+def test_a_wrong_pull_fails_the_reference_and_criterion_7(monkeypatch, mutant, reference_pair, criterion_failure):
+    import test_acceptance  # which imports this module
+
+    monkeypatch.setattr(beables, "_pull", mutant)
+    assert _reference_gap(REFERENCE_PAIRS[reference_pair], 1.0) > 1e-6
+    assert _eom_mismatches(count=20)
+    with pytest.raises(AssertionError, match=criterion_failure):
+        # A capsys whose disabled() leaves the criterion's verdict line captured.
+        test_acceptance.test_criterion_7_mode_dynamics(types.SimpleNamespace(disabled=contextlib.nullcontext))
 
 
 def test_fitted_frequency_matches_law():
@@ -772,6 +901,38 @@ def test_mode_set_memo_never_serves_a_stale_block():
                 build(pair, (geometry, 1.3, volume))
             with pytest.raises(ValueError):
                 frame_consistency_region2(pair, 1.3, points[0], 0.5, volume, geometry)
+    # The memo is keyed by the phase itself.  Phases a turn apart, the two
+    # zeros and pi/2 (unit weights, as region I), each between region-I calls
+    # at array and float times, give a fresh pair's frames.
+    def frame(pair, phi, t):
+        if phi is None:
+            return beables_region1(pair, points, t, 2.5, geometry)
+        return beables_region2(pair, phi, points, t, 2.5, geometry)
+
+    phases = (1.3, 1.3 + 2.0 * math.pi, 0.0, -0.0, math.pi / 2.0)
+    for phi, t, region in itertools.product(phases * 2, (times, 0.7), (2, 1)):
+        phi = phi if region == 2 else None
+        got, want_now = frame(pair, phi, t), frame(fresh(), phi, t)
+        for name in FIELDS:
+            assert np.array_equal(getattr(got, name), getattr(want_now, name)), (phi, t, name)
+    # A phase or volume given as a 0-d array and changed in place between
+    # calls is read anew.
+    phi, volume = np.array(0.4), np.array(2.5)
+    for new_phi, new_volume in ((0.4, 2.5), (2.9, 2.5), (2.9, 0.7)):
+        phi[()], volume[()] = new_phi, new_volume
+        got = beables_region2(pair, phi, points, 0.7, volume, geometry)
+        want_now = beables_region2(fresh(), new_phi, points, 0.7, new_volume, geometry)
+        for name in FIELDS:
+            assert np.array_equal(getattr(got, name), getattr(want_now, name)), (new_phi, new_volume, name)
+    # A NaN phase is refused on every call and never replaces the memo.
+    for t in (times, 0.7, 0.7):
+        frame(pair, 1.3, t)
+        memo = pair._memo
+        with pytest.raises(ValueError, match="phase must be finite"):
+            frame(pair, math.nan, t)
+        with pytest.raises(ValueError, match="phase must be finite"):
+            frame_consistency_region2(pair, math.nan, points[0], 0.7, 2.5, geometry)
+        assert pair._memo is memo
     # The memo is no field: the pair's fields, and so its equality, are unchanged.
     assert [field.name for field in dataclasses.fields(pair)] == ["amp_a", "amp_b", "phase_a", "phase_b", "k0"]
 

@@ -445,6 +445,40 @@ def test_beables_sweep_needs_region_2(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--region", "2", "--periods", "3"], "--periods"),
+        (["--region", "2", "--sweep", "--periods", "1"], "--periods"),
+        (["--region", "2", "--sweep", "--vacuum", "16"], "--vacuum"),
+        (["--region", "2", "--sweep", "--samples", "33"], "--samples"),
+    ],
+)
+def test_beables_refuses_a_flag_the_run_does_not_read(tmp_path, capsys, argv, flag):
+    # Each used to be ignored: the sweep even recorded vacuum_modes 16 in its
+    # manifest, though no background entered the run.
+    out_dir = tmp_path / "out"
+    assert main(["--out-dir", str(out_dir), "beables", *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, given",
+    [
+        (["--region", "1"], ["--periods", "1", "--samples", "257", "--vacuum", "0"]),
+        (["--region", "2"], ["--samples", "257", "--vacuum", "0"]),
+    ],
+)
+def test_beables_flags_given_at_their_defaults_change_nothing(tmp_path, argv, given):
+    for name, extra in (("bare", []), ("given", given)):
+        assert main(["--out-dir", str(tmp_path / name), "beables", *argv, *extra]) == 0
+    assert _manifest(tmp_path / "bare", "beables")["config"] == _manifest(tmp_path / "given", "beables")["config"]
+    for table in _manifest(tmp_path / "bare", "beables")["outputs"]:
+        assert (tmp_path / "bare" / table).read_bytes() == (tmp_path / "given" / table).read_bytes()
+
+
 def test_beables_region1_with_checks(tmp_path, capsys):
     assert main(
         ["--out-dir", str(tmp_path), "beables", "--region", "1", "--check", "--samples", "33"]
