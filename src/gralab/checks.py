@@ -4,7 +4,8 @@ Each builder returns a list of Check records that the CLI prints and writes
 to its manifest and that the acceptance tests assert on.  The beables and
 the photon overlap factor are called through their module attributes, so a
 rebinding of gralab.beables or gralab.photodetect functions (tracing, test
-doubles) reaches these calls too.
+doubles) reaches these calls too.  Each builder imports the module it calls,
+so a photodetect run loads no beables and a beables run no photodetect.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import beables, photodetect
 
 
 @dataclass(frozen=True)
@@ -41,6 +40,8 @@ def frames(pair, phi, vacuum) -> list[Check]:
     fastest period of the region's mode frequencies (phi None is the
     divided region), so the rotation phase there is the same at any amplitude.
     Both errors are relative, so the unit volume stands for every volume."""
+    from . import beables
+
     x = _PROBE_X / pair.k0
     t = 0.4 * (2.0 * math.pi / max(beables.mode_frequencies(pair, phi=phi)))
     if phi is None:
@@ -62,6 +63,8 @@ def region1(pair, vacuum) -> list[Check]:
     to the kinetic term: it tests kinetic = 1 / (2 |w|^2), which beside
     3 k0 or k0^2 rho^2 would fall below the bound from amp ~ 3e5.
     """
+    from . import beables
+
     period = 2.0 * math.pi / max(beables.mode_frequencies(pair))
     times = (0.0, 0.3 * period, 0.6 * period)
     residual = np.max([beables.wave_equation_residual(pair, t) for t in times])
@@ -82,6 +85,8 @@ def region1(pair, vacuum) -> list[Check]:
 def fringes(i_c, i_d) -> list[Check]:
     """Unit visibility, extinctions and a flat sum over a sweep of phi from 0
     across [0, 2 pi) with an even number of samples, so pi is the middle one."""
+    from . import beables
+
     peak = float(max(i_c.max(), i_d.max()))
     total = i_c + i_d
     return [
@@ -101,6 +106,8 @@ def absorption(report, cfg) -> list[Check]:
     of split_photon_state the lowered state has one amplitude, so the first
     two records read exactly 0 and 1 by construction; only a multi-photon
     input could fail them."""
+    from . import photodetect
+
     records = [_below("largest non-vacuum overlap", report.largest_other, 1e-12)]
     if not report.amplitude_vanishes:
         count = report.nonzero_count

@@ -6,6 +6,9 @@ then does ``_write`` make the output directory and write the run's tables,
 plots and documents, its stdout lines and a manifest recording the resolved
 configuration, the seed, engine versions, the emitted files, and the
 wall-clock duration.  A run rejected for bad input writes nothing.
+
+Each subcommand imports the gralab modules it runs when it runs, so a fresh
+process pays for those alone: ``g2`` loads only ``gralab.fock``.
 """
 
 from __future__ import annotations
@@ -20,11 +23,15 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from . import beables, cascade, checks, classical, fock, photodetect, svgplot
+
+if TYPE_CHECKING:  # the annotations' Check; the subcommands import checks when they run
+    from . import checks
+
 
 def _int_at_least(low: int):
     def integer(text: str) -> int:
@@ -44,6 +51,8 @@ def _nw_list(text: str) -> list[float]:
 
 
 def _state_spec(text: str):
+    from . import fock
+
     kind, sep, value = text.partition(":")
     if not sep:
         raise argparse.ArgumentTypeError("expected kind:value, e.g. number:1")
@@ -60,6 +69,8 @@ def _state_spec(text: str):
 
 
 def _describe_state(state) -> str:
+    from . import fock
+
     if isinstance(state, fock.NumberState):
         return f"number:{state.n}"
     if isinstance(state, fock.CoherentState):
@@ -110,6 +121,8 @@ def _write(run: Run, args, out_dir: Path, t0: float) -> int:
         with open(out_dir / outputs[-1], "w", newline="", encoding="utf-8") as fh:
             _write_table(fh, args.format, header, rows)
     for name, series, keywords in run.plots:
+        from . import svgplot
+
         outputs.append(f"{name}.svg")
         svgplot.line_plot(out_dir / outputs[-1], series, **keywords)
     for name, document in run.documents:
@@ -156,6 +169,8 @@ def _load_config_file(path: str | None) -> dict:
 
 
 def cmd_g2(args) -> Run:
+    from . import fock
+
     bs = fock.BeamSplitter.from_transmittance(args.t2)
     header = ["state", "g2"]
     if args.oracle:
@@ -181,6 +196,8 @@ def cmd_g2(args) -> Run:
 
 
 def cmd_classical(args) -> Run:
+    from . import classical
+
     rng = np.random.Generator(np.random.PCG64(args.seed))
     scale = args.scale + 0.0  # -0.0 would reach numpy's uniform as high < low
     # NaN fails the comparison; numpy's samplers would raise their own errors.
@@ -221,6 +238,8 @@ _CASCADE_FLAG_KEYS = {"f_target": "f_target", "points": "n_omega_values", "n_ome
 
 
 def cmd_cascade(args) -> Run:
+    from . import cascade, svgplot
+
     overrides = {key: v for flag, key in _CASCADE_FLAG_KEYS.items() if (v := getattr(args, flag)) is not None}
     template, points, n_omega = cascade.template_from(
         _load_config_file(args.config), overrides, sweep=args.sweep, target_gates=args.gates, rng_seed=args.seed
@@ -291,6 +310,8 @@ def _report(results: list[checks.Check]) -> list[str]:
 
 
 def cmd_beables(args) -> Run:
+    from . import beables, checks, svgplot
+
     if args.sweep and args.region == 1:
         raise ValueError("--sweep is the region-2 phase sweep and needs --region 2")
     # A flag the run would not read is refused, not ignored; None is a flag not given.
@@ -299,10 +320,15 @@ def cmd_beables(args) -> Run:
     for flag, value in (("--samples", args.samples), ("--vacuum", args.vacuum)):
         if value is not None and args.sweep:
             raise ValueError(f"{flag} sets the field map, which --sweep does not draw")
+    for flag, value in (("--amp", args.amp), ("--phase-b", args.phase_b)):
+        if value is not None and args.sweep:
+            raise ValueError(f"{flag} sets the mode pair, whose --sweep intensities depend on --k0 alone")
     periods = 1.0 if args.periods is None else args.periods
     samples = 257 if args.samples is None else args.samples
     n_vacuum = args.vacuum or 0
-    pair = beables.ModePair.single_frequency(args.amp, phase_b=args.phase_b, k0=args.k0)
+    amp = 1.0 if args.amp is None else args.amp
+    phase_b = 0.0 if args.phase_b is None else args.phase_b
+    pair = beables.ModePair.single_frequency(amp, phase_b=phase_b, k0=args.k0)
     # The divided region is phi None, as in gralab.beables and gralab.checks.
     phi = None if args.region == 1 else args.phi
     if not (phi is None or math.isfinite(phi)):  # a sweep reads no phase, but records it
@@ -376,6 +402,8 @@ def cmd_beables(args) -> Run:
 
 
 def cmd_photodetect(args) -> Run:
+    from . import checks, photodetect, svgplot
+
     if not 0.0 < args.k_max < math.inf:
         raise ValueError("spectrum wavenumber range must be positive and finite")
     # The mismatch squares k_en and the form factor squares 1 + k_en^2.
@@ -452,8 +480,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("beables", help="field-beable trajectories, maps, and checks")
     p.add_argument("--region", type=int, choices=(1, 2), default=1)
     p.add_argument("--phi", type=float, default=math.pi / 2.0, help="interferometer phase")
-    p.add_argument("--amp", type=float, default=1.0, help="mode amplitude")
-    p.add_argument("--phase-b", type=float, default=0.0, help="second phase")
+    p.add_argument("--amp", type=float, help="mode amplitude (default 1)")
+    p.add_argument("--phase-b", type=float, help="second phase (default 0)")
     p.add_argument("--k0", type=float, default=1.0, help="beam wavenumber")
     p.add_argument("--periods", type=float, help="region 1: trajectory length in cycles (default 1)")
     p.add_argument("--samples", type=_int_at_least(1), help="field-map samples (default 257)")

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from html import escape
 
 _WIDTH, _HEIGHT = 720, 480
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf")
@@ -53,6 +52,12 @@ def _nice_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
 
 def _fmt(v: float) -> str:
     return f"{v:g}"
+
+
+def _escape(text: str) -> str:
+    """Element text with &, < and > escaped and quotes kept, as
+    html.escape(text, quote=False) gives, without importing html."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def line_plot(
@@ -114,7 +119,7 @@ def line_plot(
     if title:
         parts.append(
             f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
-            f'font-size="14" fill="#222">{escape(title, quote=False)}</text>'
+            f'font-size="14" fill="#222">{_escape(title)}</text>'
         )
 
     for tick in x_ticks:
@@ -140,13 +145,13 @@ def line_plot(
     if xlabel:
         parts.append(
             f'<text x="{ml + pw / 2:.1f}" y="{_HEIGHT - 10}" text-anchor="middle" '
-            f'fill="#222">{escape(xlabel, quote=False)}</text>'
+            f'fill="#222">{_escape(xlabel)}</text>'
         )
     if ylabel:
         yc = mt + ph / 2
         parts.append(
             f'<text x="16" y="{yc:.1f}" text-anchor="middle" fill="#222" '
-            f'transform="rotate(-90 16 {yc:.1f})">{escape(ylabel, quote=False)}</text>'
+            f'transform="rotate(-90 16 {yc:.1f})">{_escape(ylabel)}</text>'
         )
 
     for i, s in enumerate(series):
@@ -183,7 +188,7 @@ def line_plot(
             f'stroke="{color}" stroke-width="2"/>'
         )
         parts.append(
-            f'<text x="{ml + pw - 94}" y="{y}" fill="#222">{escape(label, quote=False)}</text>'
+            f'<text x="{ml + pw - 94}" y="{y}" fill="#222">{_escape(label)}</text>'
         )
 
     parts.append("</svg>")

@@ -452,11 +452,14 @@ def test_beables_sweep_needs_region_2(tmp_path, capsys):
         (["--region", "2", "--sweep", "--periods", "1"], "--periods"),
         (["--region", "2", "--sweep", "--vacuum", "16"], "--vacuum"),
         (["--region", "2", "--sweep", "--samples", "33"], "--samples"),
+        (["--region", "2", "--sweep", "--check", "--amp", "5"], "--amp"),
+        (["--region", "2", "--sweep", "--phase-b", "1"], "--phase-b"),
     ],
 )
 def test_beables_refuses_a_flag_the_run_does_not_read(tmp_path, capsys, argv, flag):
     # Each used to be ignored: the sweep even recorded vacuum_modes 16 in its
-    # manifest, though no background entered the run.
+    # manifest, though no background entered the run, and amp_a 5 beside a
+    # visibility table that depends on --k0 alone.
     out_dir = tmp_path / "out"
     assert main(["--out-dir", str(out_dir), "beables", *argv]) == 1
     err = capsys.readouterr().err
