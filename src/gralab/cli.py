@@ -23,14 +23,10 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-
-if TYPE_CHECKING:  # the annotations' Check; the subcommands import checks when they run
-    from . import checks
 
 
 def _int_at_least(low: int):
@@ -108,7 +104,7 @@ class Run:
     plots: list = field(default_factory=list)
     documents: list = field(default_factory=list)
     lines: list[str] = field(default_factory=list)
-    checks: list[checks.Check] | None = None
+    checks: list | None = None
     counters: dict | None = None
 
 
@@ -120,9 +116,9 @@ def _write(run: Run, args, out_dir: Path, t0: float) -> int:
         outputs.append(f"{name}.{args.format}")
         with open(out_dir / outputs[-1], "w", newline="", encoding="utf-8") as fh:
             _write_table(fh, args.format, header, rows)
-    for name, series, keywords in run.plots:
+    if run.plots:
         from . import svgplot
-
+    for name, series, keywords in run.plots:
         outputs.append(f"{name}.svg")
         svgplot.line_plot(out_dir / outputs[-1], series, **keywords)
     for name, document in run.documents:
@@ -300,7 +296,7 @@ def cmd_cascade(args) -> Run:
 _FIELD_HEADER = ["s", *(f"{name}_{axis}" for name in "aebi" for axis in "xyz")]
 
 
-def _report(results: list[checks.Check]) -> list[str]:
+def _report(results: list) -> list[str]:
     """One stdout line per check: its verdict, value and bound."""
     return [
         f"[{'ok' if check.passed else 'FAIL'}] {check.label}: {check.value:.3e} "
